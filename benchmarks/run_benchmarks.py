@@ -937,7 +937,7 @@ def build_engine_benchmarks(quick: bool, seed: int):
     # -- snapshot-parallel pool (skipped in --quick: CI stays fork-free;
     # -- skipped on 1-CPU hosts, where processes can only time-share) ------
     if not quick and (os.cpu_count() or 1) >= 2:
-        from repro.engine.pool import execute_parallel
+        from repro.engine.pool import DaemonPool
 
         rng = random.Random(seed + 31)
         db, ops = random_request_stream(
@@ -955,7 +955,8 @@ def build_engine_benchmarks(quick: bool, seed: int):
             return run_engine(db, requests)
 
         def pool_parallel(db=db, requests=requests):
-            results = execute_parallel(Session(db), requests, workers=2)
+            with DaemonPool(Session(db), workers=2) as pool:
+                results = pool.execute_many(requests)
             return [
                 r.holds if req.free_vars is None else frozenset(r.answers)
                 for req, r in zip(requests, results)
@@ -969,11 +970,11 @@ def build_engine_benchmarks(quick: bool, seed: int):
             1,
         )
 
-    # -- persistent daemon pool: incremental resync vs fork-per-batch ------
-    # (same multi-core / non-quick conditions as engine/pool above)
+    # -- persistent daemon pool: incremental resync vs a fresh pool per
+    # -- batch (same multi-core / non-quick conditions as engine/pool) -----
     if not quick and (os.cpu_count() or 1) >= 2:
         from repro.engine.batch import execute_stream
-        from repro.engine.pool import DaemonPool, WorkerPool
+        from repro.engine.pool import DaemonPool
 
         rng = random.Random(seed + 37)
         db, ops = random_request_stream(
@@ -993,7 +994,7 @@ def build_engine_benchmarks(quick: bool, seed: int):
             out = []
             for fact in toggles:
                 session.assert_facts(fact)
-                with WorkerPool(session, workers=2) as pool:
+                with DaemonPool(session, workers=2) as pool:
                     out.append(pool.execute_many(requests))
             return out
 

@@ -57,6 +57,7 @@ from repro.algorithms.disjunctive import theorem53
 from repro.api.result import Result
 from repro.core.atoms import ProperAtom
 from repro.core.database import IndefiniteDatabase, LabeledDag
+from repro.core.errors import SortError
 from repro.core.models import Structure, iter_minimal_models
 from repro.core.ordergraph import OrderGraph
 from repro.core.query import (
@@ -73,7 +74,7 @@ from repro.core.semantics import (
     pad_for_integers,
     tighten_for_rationals,
 )
-from repro.core.sorts import Term, obj, ordvar
+from repro.core.sorts import Sort, Term, obj, ordvar
 from repro.inequality.neq import expand_query_neq
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -239,6 +240,7 @@ class ExecutionContext:
         self._splittable: bool | None = None
         self._object_facts: dict[str, set[str]] | None = None
         self._object_domain: list[str] | None = None
+        self._arg_sorts: dict[tuple[str, int], set[Sort]] | None = None
         #: bumped whenever cached order-part verdicts become stale
         self.label_epoch = 0
 
@@ -315,6 +317,17 @@ class ExecutionContext:
             self._object_domain = sorted(self.db.object_constants)
         return self._object_domain
 
+    @property
+    def arg_sorts(self) -> dict[tuple[str, int], set[Sort]]:
+        """``(pred, position) -> sorts`` of the facts' arguments there."""
+        if self._arg_sorts is None:
+            sorts: dict[tuple[str, int], set[Sort]] = {}
+            for atom in self.db.proper_atoms:
+                for i, arg in enumerate(atom.args):
+                    sorts.setdefault((atom.pred, i), set()).add(arg.sort)
+            self._arg_sorts = sorts
+        return self._arg_sorts
+
     # -- invalidation ------------------------------------------------------
 
     def facts_changed(self, db: IndefiniteDatabase) -> None:
@@ -322,6 +335,7 @@ class ExecutionContext:
         self._splittable = None
         self._object_facts = None
         self._object_domain = None
+        self._arg_sorts = None
 
     def labels_changed(self, db: IndefiniteDatabase) -> None:
         self.facts_changed(db)
@@ -365,6 +379,7 @@ class ExecutionContext:
         twin._splittable = self._splittable
         twin._object_facts = self._object_facts
         twin._object_domain = self._object_domain
+        twin._arg_sorts = self._arg_sorts
         twin.label_epoch = self.label_epoch
         return twin
 
@@ -551,6 +566,15 @@ class PreparedQuery:
         self.free_vars = None if free_vars is None else tuple(free_vars)
         self._dnf0 = as_dnf(query)
         self._has_constants = bool(self._dnf0.constants())
+        #: ``(pred, position, sort) -> a query atom with that argument``,
+        #: over the n-ary atoms (see :meth:`_check_sorts`)
+        self._nary_args = {
+            (atom.pred, i, arg.sort): atom
+            for disjunct in self._dnf0.disjuncts
+            for atom in disjunct.proper_atoms
+            if atom.arity > 1
+            for i, arg in enumerate(atom.args)
+        }
         self._static = (
             None
             if self._has_constants
@@ -571,11 +595,18 @@ class PreparedQuery:
     # -- binding -----------------------------------------------------------
 
     def _bind(self) -> tuple[StaticPlan, ExecutionContext]:
-        """The plan bound to the session's current database generation."""
+        """The plan bound to the session's current database generation.
+
+        Every execution path (and :meth:`validate`) binds before any
+        decision procedure runs, so this is where a query whose
+        argument sorts disagree with the database's raises
+        :class:`~repro.core.errors.SortError` — once per generation.
+        """
         key = self.session._gens()
         if self._bound_key == key and self._bound is not None:
             return self._bound
         base = self.session.context()
+        self._check_sorts(base)
         if self._has_constants:
             # Constant elimination augments the database, so the whole
             # static residue is regenerated for this generation.
@@ -595,6 +626,27 @@ class PreparedQuery:
             ctx = base
         self._bound_key, self._bound = key, (static, ctx)
         return self._bound
+
+    def _check_sorts(self, ctx: ExecutionContext) -> None:
+        """Raise :class:`SortError` for an n-ary atom argument the
+        database's facts only ever fill with the other sort.
+
+        Unary atoms are exempt: the Section 4 split reads a unary
+        predicate at both sorts (object facts form the definite object
+        part, order facts label the order dag), so a unary atom of
+        either sort is well-typed there and simply matches nothing.
+        """
+        if not self._nary_args:
+            return
+        db_sorts = ctx.arg_sorts
+        for (pred, i, sort), atom in self._nary_args.items():
+            seen = db_sorts.get((pred, i))
+            if seen is not None and sort not in seen:
+                raise SortError(
+                    f"query atom {atom}: argument {i + 1} is "
+                    f"{sort.value}-sorted, but the database's {pred!r} "
+                    f"facts are {next(iter(seen)).value}-sorted there"
+                )
 
     def _memo(self, ctx: ExecutionContext) -> dict[tuple[int, ...], Result]:
         """Order-part verdicts, keyed by surviving-disjunct index tuple.

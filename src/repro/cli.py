@@ -10,9 +10,9 @@ Commands:
 * ``batch DB STREAM``  — run a request-stream file (queries, ``answers``
   lines, ``assert:``/``retract:`` writes) through the batching engine
   (:mod:`repro.engine.batch`); ``--workers N`` fans a write-free stream
-  out over a snapshot worker pool, and pipelines a *mixed* stream over a
-  persistent daemon pool (epoch *N*'s reads execute on the workers while
-  the next epoch's writes apply);
+  out over a daemon worker pool, and pipelines a *mixed* stream over it
+  (epoch *N*'s reads execute on the workers while the next epoch's
+  writes apply);
 * ``watch DB QUERY --free-vars ... STREAM`` — maintain a
   :class:`repro.engine.views.MaterializedView` of an open query across
   the writes in STREAM, reporting answer deltas after each step;
@@ -67,19 +67,23 @@ from repro.analysis import classify
 from repro.api import Session, render_model
 from repro.core.database import IndefiniteDatabase
 from repro.core.models import count_minimal_models, iter_minimal_models
-from repro.core.semantics import Semantics
 from repro.core.sorts import objvar
+from repro.server.protocol import (
+    _METHODS,
+    _SEMANTICS,
+    _batch_rows,
+    _parse_stream,
+    _parse_stream_line,
+    _result_payload,
+    _stream_order_names,
+    _stream_vocabulary,
+    _stream_write,
+)
 from repro.substrate.parser import (
     parse_database,
     parse_query,
     scan_order_names,
 )
-
-_SEMANTICS = {"fin": Semantics.FIN, "z": Semantics.Z, "q": Semantics.Q}
-_METHODS = [
-    "auto", "bruteforce", "seq", "paths", "bounded_width", "theorem53",
-    "basis",
-]
 
 
 def _load_database(path: str) -> IndefiniteDatabase:
@@ -199,27 +203,18 @@ def _remote_batch(args: argparse.Namespace) -> int:
     lines = pathlib.Path(args.stream).read_text().splitlines()
     with _remote_client(args) as client:
         reply = client.batch(lines)
-    rows = reply["ops"]
-    if args.json:
-        print(json.dumps({"mode": reply["mode"], "ops": rows}, sort_keys=True))
-        return 0
-    for row in rows:
-        if row["kind"] == "query":
-            verdict = (
-                f"answers={row['count']}"
-                if "count" in row
-                else f"entailed={row['entailed']}"
-            )
-            print(f"[{row['op']:>3}] query   {verdict} [{row['method']}]")
-        else:
-            print(f"[{row['op']:>3}] {row['kind']:<14} "
-                  f"{'; '.join(row['atoms'])}")
-    print(f"executed {len(rows)} ops ({reply['mode']}, remote)")
-    return 0
+    return _print_batch(args, reply["ops"], reply["mode"], ", remote")
 
 
 def _remote_watch(args: argparse.Namespace) -> int:
-    stream_lines = pathlib.Path(args.stream).read_text().splitlines()
+    lines = pathlib.Path(args.stream).read_text().splitlines()
+    # the server types the writes against its own session; the stream
+    # alone is enough to label each step exactly like the local command
+    writes = _watch_writes(
+        lines, IndefiniteDatabase.empty(), _stream_order_names(lines)
+    )
+    if writes is None:
+        return 2
     free = [name for name in args.free_vars.split(",") if name]
     with _remote_client(args) as client:
         opened = client.watch(
@@ -228,24 +223,13 @@ def _remote_watch(args: argparse.Namespace) -> int:
         watch_id = opened["watch"]
         count = opened["count"]
         steps = [{"step": 0, "op": "initial", "answers": opened["answers"]}]
-        i = 0
-        for line in stream_lines:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if stripped.startswith("assert:"):
-                verb, text = "assert_facts", stripped[len("assert:"):]
+        for line, op in writes:
+            # ship the line's own text: it may carry sort declarations
+            kind, text = _stream_write(line)
+            if kind == "assert_facts":
                 client.assert_facts(text)
-            elif stripped.startswith("retract:"):
-                verb, text = "retract_facts", stripped[len("retract:"):]
-                client.retract_facts(text)
             else:
-                print(
-                    f"watch stream must contain only writes, got: {stripped}",
-                    file=sys.stderr,
-                )
-                return 2
-            i += 1
+                client.retract_facts(text)
             added: list = []
             removed: list = []
             for event in client.take_events():
@@ -254,29 +238,8 @@ def _remote_watch(args: argparse.Namespace) -> int:
                 added.extend(event["added"])
                 removed.extend(event["removed"])
                 count = event["count"]
-            steps.append({
-                "step": i,
-                "op": f"{verb} {text.strip()}",
-                "added": added,
-                "removed": removed,
-                "count": count,
-            })
-    if args.json:
-        print(json.dumps({"steps": steps}, sort_keys=True))
-        return 0
-    for step in steps:
-        if step["op"] == "initial":
-            print(f"[  0] initial: {len(step['answers'])} answers")
-            continue
-        delta = []
-        for a in step["added"]:
-            delta.append("+" + (",".join(a) if a else "()"))
-        for a in step["removed"]:
-            delta.append("-" + (",".join(a) if a else "()"))
-        print(f"[{step['step']:>3}] {step['op']}: "
-              f"{' '.join(delta) if delta else '(no change)'} "
-              f"[{step['count']} answers]")
-    return 0
+            steps.append(_watch_step(len(steps), op, added, removed, count))
+    return _print_watch(args, steps)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -440,211 +403,104 @@ def _cmd_answers(args: argparse.Namespace) -> int:
     return 0 if result.answers else 1
 
 
-def _stream_order_names(db_text: str, stream_text: str) -> set[str]:
-    """Sort inference over the database file plus every stream write.
+def _load_stream(args: argparse.Namespace):
+    """``(db, vocab, order_names, lines)`` for a local stream command.
 
-    A constant that only a later ``assert:`` line orders must already be
-    order-sorted where the base database merely labels it (one spelling
-    at two sorts is a :class:`~repro.core.errors.SortError`), so the
-    fragments are scanned together before any of them is parsed.
+    Sort inference runs over the database file and every stream write
+    together, and query lines resolve against the stream vocabulary
+    (see :mod:`repro.server.protocol`).
     """
-    names = scan_order_names(db_text)
-    for line in stream_text.splitlines():
-        line = line.strip()
-        for verb in ("assert:", "retract:"):
-            if line.startswith(verb):
-                names |= scan_order_names(line[len(verb):])
-    return names
+    db_text = pathlib.Path(args.database).read_text()
+    lines = pathlib.Path(args.stream).read_text().splitlines()
+    order_names = _stream_order_names(lines, scan_order_names(db_text))
+    db = parse_database(db_text, extra_order=order_names)
+    return db, _stream_vocabulary(db, lines, order_names), order_names, lines
 
 
-def _stream_vocabulary(
-    db: IndefiniteDatabase, stream_text: str, order_names: set[str]
-) -> IndefiniteDatabase:
-    """The database plus every atom any stream write mentions.
-
-    Query lines resolve constants against this *vocabulary* database, so
-    a name introduced only by a later ``assert:`` line is still parsed
-    as a constant (of the right sort) rather than as a variable.
-    Execution always runs against the session's real state — a query
-    naming a not-yet-asserted constant is simply not entailed yet.
-    """
-    vocab = db
-    for line in stream_text.splitlines():
-        line = line.strip()
-        for verb in ("assert:", "retract:"):
-            if line.startswith(verb):
-                vocab = vocab.union(parse_database(
-                    line[len(verb):], extra_order=order_names
-                ))
-    return vocab
-
-
-def _parse_stream_line(
-    line: str, db: IndefiniteDatabase, order_names: set[str] = frozenset()
-):
-    """One request-stream line -> a QueryRequest or Mutation (or None).
-
-    Syntax: ``assert: <atoms>`` / ``retract: <atoms>`` (text-DSL database
-    fragments), ``answers(x, y): <query>`` for open queries, anything
-    else a closed query; blank lines and ``#`` comments skipped.
-    """
-    from repro.engine.batch import Mutation, QueryRequest
-
-    line = line.strip()
-    if not line or line.startswith("#"):
-        return None
-    for kind, verb in (("assert_facts", "assert:"),
-                       ("retract_facts", "retract:")):
-        if line.startswith(verb):
-            fragment = parse_database(
-                line[len(verb):], extra_order=order_names
+def _print_batch(args, rows: list[dict], mode: str, where: str = "") -> int:
+    """Report a batch's rows (local or remote); ``where`` tags the mode."""
+    if args.json:
+        print(json.dumps({"mode": mode, "ops": rows}, sort_keys=True))
+        return 0
+    for row in rows:
+        if row["kind"] == "query":
+            verdict = (
+                f"answers={row['count']}"
+                if "count" in row
+                else f"entailed={row['entailed']}"
             )
-            return Mutation(kind, tuple(fragment.atoms()))
-    if line.startswith("answers(") and "):" in line:
-        names, _, rest = line[len("answers("):].partition("):")
-        free = tuple(
-            objvar(n.strip()) for n in names.split(",") if n.strip()
-        )
-        return QueryRequest(parse_query(rest, db), free_vars=free)
-    if line.startswith("query:"):
-        line = line[len("query:"):]
-    return QueryRequest(parse_query(line, db))
-
-
-def _result_payload(result) -> dict:
-    if result.answers is not None:
-        return {
-            "answers": sorted(list(a) for a in result.answers),
-            "count": len(result.answers),
-            "method": result.method,
-        }
-    return {"entailed": result.holds, "method": result.method}
+            print(f"[{row['op']:>3}] query   {verdict} [{row['method']}]")
+        else:
+            print(f"[{row['op']:>3}] {row['kind']:<14} "
+                  f"{'; '.join(row['atoms'])}")
+    print(f"executed {len(rows)} ops ({mode}{where})")
+    return 0
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    """Run a request-stream file through the batching engine."""
     if args.connect:
         return _remote_batch(args)
-    """Run a request-stream file through the batching engine."""
-    from repro.engine.batch import (
-        Mutation,
-        QueryRequest,
-        execute_many,
-        execute_stream,
-    )
-    from repro.engine.pool import DaemonPool, WorkerPool
+    from repro.engine.batch import QueryRequest, execute_stream
+    from repro.engine.pool import DaemonPool
 
-    db_text = pathlib.Path(args.database).read_text()
-    stream_text = pathlib.Path(args.stream).read_text()
-    order_names = _stream_order_names(db_text, stream_text)
-    db = parse_database(db_text, extra_order=order_names)
-    vocab = _stream_vocabulary(db, stream_text, order_names)
-    ops = []
-    for line in stream_text.splitlines():
-        op = _parse_stream_line(line, vocab, order_names)
-        if op is not None:
-            ops.append(op)
+    db, vocab, order_names, lines = _load_stream(args)
+    ops = _parse_stream(lines, vocab, order_names)
     session, wal = _session_with_wal(db, args.wal)
     try:
-        pure_reads = all(isinstance(op, QueryRequest) for op in ops)
-        if args.workers > 1 and pure_reads:
-            with WorkerPool(session, workers=args.workers) as pool:
-                results = pool.execute_many(ops)
-                mode = (
-                    f"pool[{args.workers}]" if pool.parallel else "sequential"
-                )
-        elif args.workers > 1:
-            # mixed stream: write-boundary epoch pipelining over a
-            # persistent daemon pool (results identical to --workers 1)
+        if args.workers > 1:
+            # a write-free stream is one batch over the pool; a mixed one
+            # pipelines write-boundary epochs over it (results identical
+            # to --workers 1 either way)
             with DaemonPool(session, workers=args.workers) as pool:
-                results = execute_stream(session, ops, pool=pool)
-                mode = (
-                    f"pipeline[{args.workers}]" if pool.parallel else "stream"
-                )
+                if all(isinstance(op, QueryRequest) for op in ops):
+                    results = pool.execute_many(ops)
+                    mode = (f"pool[{args.workers}]" if pool.parallel
+                            else "sequential")
+                else:
+                    results = execute_stream(session, ops, pool=pool)
+                    mode = (f"pipeline[{args.workers}]" if pool.parallel
+                            else "stream")
         else:
             results = execute_stream(session, ops)
             mode = "stream"
     finally:
         if wal is not None:
             wal.close()
-
-    rows = []
-    for i, (op, result) in enumerate(zip(ops, results)):
-        if isinstance(op, Mutation):
-            rows.append({"op": i, "kind": op.kind,
-                         "atoms": [str(a) for a in op.atoms]})
-        else:
-            rows.append({"op": i, "kind": "query",
-                         **_result_payload(result)})
-    if args.json:
-        print(json.dumps({"mode": mode, "ops": rows}, sort_keys=True))
-    else:
-        for row in rows:
-            if row["kind"] == "query":
-                verdict = (
-                    f"answers={row['count']}"
-                    if "count" in row
-                    else f"entailed={row['entailed']}"
-                )
-                print(f"[{row['op']:>3}] query   {verdict} "
-                      f"[{row['method']}]")
-            else:
-                print(f"[{row['op']:>3}] {row['kind']:<14} "
-                      f"{'; '.join(row['atoms'])}")
-        print(f"executed {len(ops)} ops ({mode})")
-    return 0
+    return _print_batch(args, _batch_rows(ops, results), mode)
 
 
-def _cmd_watch(args: argparse.Namespace) -> int:
-    if args.connect:
-        return _remote_watch(args)
-    """Maintain a materialized view of an open query across a write stream."""
+def _watch_writes(lines: list[str], vocab, order_names):
+    """``[(line, Mutation), ...]`` for a watch stream, or ``None`` after
+    reporting the first line that is not a write (nothing is applied)."""
     from repro.engine.batch import Mutation
-    from repro.engine.views import MaterializedView
 
-    db_text = pathlib.Path(args.database).read_text()
-    stream_text = pathlib.Path(args.stream).read_text()
-    order_names = _stream_order_names(db_text, stream_text)
-    db = parse_database(db_text, extra_order=order_names)
-    vocab = _stream_vocabulary(db, stream_text, order_names)
-    session, wal = _session_with_wal(db, args.wal)
-    query = _load_query(args.query, vocab)
-    free_vars = tuple(
-        objvar(name) for name in args.free_vars.split(",") if name
-    )
-    view = MaterializedView(
-        session, query, free_vars, semantics=_SEMANTICS[args.semantics]
-    )
-    steps = []
-    current = view.answers()
-    steps.append({"step": 0, "op": "initial",
-                  "answers": sorted(list(a) for a in current)})
-    i = 0
-    for line in stream_text.splitlines():
+    writes = []
+    for line in lines:
         op = _parse_stream_line(line, vocab, order_names)
         if op is None:
             continue
         if not isinstance(op, Mutation):
-            print(f"watch stream must contain only writes, got: {line.strip()}",
-                  file=sys.stderr)
-            return 2
-        i += 1
-        op.apply(session)
-        updated = view.answers()
-        steps.append({
-            "step": i,
-            "op": f"{op.kind} {'; '.join(str(a) for a in op.atoms)}",
-            "added": sorted(list(a) for a in updated - current),
-            "removed": sorted(list(a) for a in current - updated),
-            "count": len(updated),
-        })
-        current = updated
-    if wal is not None:
-        wal.close()
-    summary = {
-        "full_refreshes": view.full_refreshes,
-        "delta_refreshes": view.delta_refreshes,
-        "delta_capable": view.delta_capable,
+            print(f"watch stream must contain only writes, got: "
+                  f"{line.strip()}", file=sys.stderr)
+            return None
+        writes.append((line, op))
+    return writes
+
+
+def _watch_step(step: int, op, added, removed, count: int) -> dict:
+    return {
+        "step": step,
+        "op": f"{op.kind} {'; '.join(str(a) for a in op.atoms)}",
+        "added": added,
+        "removed": removed,
+        "count": count,
     }
+
+
+def _print_watch(args, steps: list[dict], summary: dict | None = None) -> int:
+    """Report a watch's steps (local or remote) and any refresh summary."""
+    summary = summary or {}
     if args.json:
         print(json.dumps({"steps": steps, **summary}, sort_keys=True))
         return 0
@@ -660,10 +516,51 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         print(f"[{step['step']:>3}] {step['op']}: "
               f"{' '.join(delta) if delta else '(no change)'} "
               f"[{step['count']} answers]")
-    print(f"refreshes: {summary['full_refreshes']} full, "
-          f"{summary['delta_refreshes']} delta "
-          f"(delta-capable: {summary['delta_capable']})")
+    if summary:
+        print(f"refreshes: {summary['full_refreshes']} full, "
+              f"{summary['delta_refreshes']} delta "
+              f"(delta-capable: {summary['delta_capable']})")
     return 0
+
+
+def _cmd_watch(args: argparse.Namespace) -> int:
+    """Maintain a materialized view of an open query across a write stream."""
+    if args.connect:
+        return _remote_watch(args)
+    from repro.engine.views import MaterializedView
+
+    db, vocab, order_names, lines = _load_stream(args)
+    writes = _watch_writes(lines, vocab, order_names)
+    if writes is None:
+        return 2
+    session, wal = _session_with_wal(db, args.wal)
+    query = _load_query(args.query, vocab)
+    free_vars = tuple(
+        objvar(name) for name in args.free_vars.split(",") if name
+    )
+    view = MaterializedView(
+        session, query, free_vars, semantics=_SEMANTICS[args.semantics]
+    )
+    current = view.answers()
+    steps = [{"step": 0, "op": "initial",
+              "answers": sorted(list(a) for a in current)}]
+    for _line, op in writes:
+        op.apply(session)
+        updated = view.answers()
+        steps.append(_watch_step(
+            len(steps), op,
+            sorted(list(a) for a in updated - current),
+            sorted(list(a) for a in current - updated),
+            len(updated),
+        ))
+        current = updated
+    if wal is not None:
+        wal.close()
+    return _print_watch(args, steps, {
+        "full_refreshes": view.full_refreshes,
+        "delta_refreshes": view.delta_refreshes,
+        "delta_capable": view.delta_capable,
+    })
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:

@@ -14,12 +14,11 @@ request *streams*:
 * :mod:`repro.engine.snapshot` — cheap read-only
   :class:`~repro.engine.snapshot.SessionSnapshot` copies (shared frozen
   database + warm closures) safe to ship to workers.
-* :mod:`repro.engine.pool` — :class:`~repro.engine.pool.WorkerPool`
-  shards plan groups across per-batch processes;
-  :class:`~repro.engine.pool.DaemonPool` keeps *persistent* workers
-  alive across batches, resyncing them to newer session state with
-  incremental snapshot deltas.  Both merge deterministically and both
-  degrade to in-process sequential execution in restricted sandboxes.
+* :mod:`repro.engine.pool` — :class:`~repro.engine.pool.DaemonPool`
+  shards plan groups across *persistent* worker processes that live
+  across batches, resyncing them to newer session state with
+  incremental snapshot deltas.  It merges deterministically and
+  degrades to in-process sequential execution in restricted sandboxes.
 * :mod:`repro.engine.views` — :class:`~repro.engine.views.MaterializedView`
   keeps a registered certain-answers query up to date across mutations,
   re-evaluating only the delta the bumped generation permits.
@@ -50,7 +49,7 @@ from repro.engine.batch import (
     execute_many,
     execute_stream,
 )
-from repro.engine.pool import DaemonPool, WorkerPool, execute_parallel
+from repro.engine.pool import DaemonPool
 from repro.engine.snapshot import SessionSnapshot, SnapshotMutationError
 from repro.engine.views import MaterializedView
 from repro.engine.wal import WalError, WalFollower, WriteAheadLog, recover
@@ -64,10 +63,8 @@ __all__ = [
     "SnapshotMutationError",
     "WalError",
     "WalFollower",
-    "WorkerPool",
     "WriteAheadLog",
     "execute_many",
-    "execute_parallel",
     "execute_stream",
     "recover",
 ]

@@ -4,22 +4,18 @@ Because every verdict is a pure function of (database, plan), read-only
 traffic parallelizes embarrassingly: take one
 :class:`~repro.engine.snapshot.SessionSnapshot`, hand it to N worker
 processes, and let each worker decide a disjoint shard of the batch's
-plan groups.  Two pool shapes share that substrate:
+plan groups.  :class:`DaemonPool` keeps those workers alive across
+batches: each holds a private session resynced to newer state by
+*incremental snapshot deltas*
+(:meth:`~repro.api.session.Session.snapshot_delta` — only the changed
+atoms and the bumped generation counters travel), and a split
+``submit``/``collect`` round trip lets the write-boundary stream
+pipeline (``execute_stream(..., pool=...)``) overlap worker execution
+with the main process's writes.  A one-off batch is just
+``DaemonPool(session).execute_many(requests)`` inside a ``with`` block.
 
-* :class:`WorkerPool` — the per-batch pool: a fresh set of processes per
-  pool, frozen at its construction snapshot (``resnapshot`` rebuilds the
-  processes);
-* :class:`DaemonPool` — the persistent pool: long-lived daemon workers
-  that survive across batches, each holding a private session resynced
-  to newer state by *incremental snapshot deltas*
-  (:meth:`~repro.api.session.Session.snapshot_delta` — only the changed
-  atoms and the bumped generation counters travel), and a split
-  ``submit``/``collect`` round trip that the write-boundary stream
-  pipeline (``execute_stream(..., pool=...)``) overlaps with the main
-  process's writes.
-
-Both degrade identically when no process pool can be created (restricted
-sandboxes, 1-CPU hosts): in-process sequential execution over the same
+When no process pool can be created (restricted sandboxes, 1-CPU hosts)
+the pool degrades to in-process sequential execution over the same
 snapshot, so callers never need a fallback path of their own.  Under the
 ``fork`` start method (Linux, the production case) workers inherit the
 snapshot — including its warm order-graph closures and region caches —
@@ -43,7 +39,6 @@ from typing import Iterable, Sequence
 
 from repro.api.result import Result
 from repro.api.session import Session
-from repro.core.database import IndefiniteDatabase
 from repro.engine import faults
 from repro.engine.batch import QueryRequest, execute_many
 
@@ -64,10 +59,6 @@ REPLY_TIMEOUT_ENV = "REPRO_POOL_REPLY_TIMEOUT"
 DEFAULT_REPLY_TIMEOUT = 60.0
 REPLY_RETRIES_ENV = "REPRO_POOL_REPLY_RETRIES"
 DEFAULT_REPLY_RETRIES = 2
-
-#: Per-process session used by pool workers (set by the initializer).
-_WORKER_SESSION: Session | None = None
-
 
 def _worker_cap() -> int:
     """The worker-count cap: ``REPRO_POOL_MAX_WORKERS`` or the default."""
@@ -144,8 +135,8 @@ class _ReplyTimeout(Exception):
 def _default_workers() -> int:
     """Spread over the cores up to the (configurable, logged) cap.
 
-    A 1-CPU host sizes to one worker, which both pool classes treat as
-    "run sequentially in-process".
+    A 1-CPU host sizes to one worker, which the pool treats as "run
+    sequentially in-process".
     """
     cap = _worker_cap()
     cpus = os.cpu_count() or 1
@@ -155,23 +146,6 @@ def _default_workers() -> int:
         "change the cap)", n, cpus, cap, WORKER_CAP_ENV,
     )
     return n
-
-
-def _init_worker(payload) -> None:
-    """Install the worker's session: an inherited snapshot or a fresh build."""
-    global _WORKER_SESSION
-    if isinstance(payload, IndefiniteDatabase):
-        _WORKER_SESSION = Session(payload)
-    else:
-        _WORKER_SESSION = payload
-
-
-def _run_shard(shard: Sequence[tuple[int, QueryRequest]]) -> list[tuple[int, Result]]:
-    """Execute one shard of unique plan groups; returns (key_index, result)."""
-    assert _WORKER_SESSION is not None
-    requests = [request for _i, request in shard]
-    results = execute_many(_WORKER_SESSION, requests)
-    return [(i, result) for (i, _), result in zip(shard, results)]
 
 
 def _unique_groups(
@@ -205,141 +179,6 @@ def _fan_out(
         for i in indices:
             results[i] = by_key[ki]
     return results
-
-
-class WorkerPool:
-    """A process pool answering queries against one session snapshot.
-
-    The snapshot is taken at construction time; the pool keeps answering
-    against that state even while the live session mutates (take a new
-    pool — or call :meth:`resnapshot`, which rebuilds the processes — to
-    pick up newer state; :class:`DaemonPool` resyncs its long-lived
-    workers incrementally instead).  Usable as a context manager.
-    """
-
-    def __init__(
-        self,
-        session: Session,
-        workers: int | None = None,
-        start_method: str | None = None,
-    ) -> None:
-        self._snapshot = session.snapshot()
-        self._workers = workers if workers is not None else _default_workers()
-        self._pool = None
-        if self._workers > 1:
-            self._pool = self._make_pool(start_method)
-
-    def _make_pool(self, start_method: str | None):
-        try:
-            import multiprocessing as mp
-
-            methods = mp.get_all_start_methods()
-            if start_method is None:
-                start_method = "fork" if "fork" in methods else methods[0]
-            ctx = mp.get_context(start_method)
-            # fork inherits the warm snapshot for free; other start
-            # methods pickle a payload, so ship the (small) frozen
-            # database and let each worker rebuild and warm lazily.
-            payload = (
-                self._snapshot if start_method == "fork" else self._snapshot.db
-            )
-            return ctx.Pool(
-                self._workers, initializer=_init_worker, initargs=(payload,)
-            )
-        except (ImportError, OSError, ValueError, RuntimeError):
-            # Restricted sandboxes surface anything from missing
-            # semaphores (OSError) to spawn-bootstrap RuntimeErrors.
-            # A raising Pool.__init__ terminates and joins whatever
-            # workers it had already started (CPython's repopulate
-            # cleanup), so nothing leaks here; DaemonPool._start manages
-            # its explicit processes the same way by hand.
-            log.info(
-                "process pool unavailable; degrading to in-process "
-                "sequential execution", exc_info=True,
-            )
-            return None
-
-    # -- state -------------------------------------------------------------
-
-    @property
-    def parallel(self) -> bool:
-        """True when a real process pool is live (not the fallback)."""
-        return self._pool is not None
-
-    @property
-    def snapshot(self):
-        """The read-only snapshot this pool answers against."""
-        return self._snapshot
-
-    # -- execution ---------------------------------------------------------
-
-    def execute_many(
-        self, requests: Iterable[QueryRequest]
-    ) -> list[Result]:
-        """Batched execution across the pool; request order preserved.
-
-        Unique plan keys are computed once each and fanned back out, so
-        duplicate requests cost nothing extra regardless of which worker
-        owns their group.
-        """
-        requests = list(requests)
-        unique, owners = _unique_groups(requests)
-        if self._pool is None or len(unique) < 2:
-            by_key = {
-                ki: result
-                for (ki, _), result in zip(
-                    unique,
-                    execute_many(
-                        self._snapshot, [r for _, r in unique]
-                    ),
-                )
-            }
-        else:
-            n = min(self._workers, len(unique))
-            shards = [unique[w::n] for w in range(n)]
-            by_key = {}
-            for shard_result in self._pool.map(_run_shard, shards):
-                for ki, result in shard_result:
-                    by_key[ki] = result
-        return _fan_out(owners, by_key, len(requests))
-
-    def resnapshot(self, session: Session) -> None:
-        """Point the pool at a fresh snapshot of ``session``.
-
-        Only meaningful for the sequential fallback and ``fork`` pools
-        created per batch; long-lived fork workers keep their inherited
-        state, so a live pool is closed and rebuilt.
-        """
-        had_pool = self._pool is not None
-        self.close()
-        self._snapshot = session.snapshot()
-        if had_pool and self._workers > 1:
-            self._pool = self._make_pool(None)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut the worker processes down (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def execute_parallel(
-    session: Session,
-    requests: Iterable[QueryRequest],
-    workers: int | None = None,
-) -> list[Result]:
-    """One-shot convenience: snapshot, shard, merge, tear down."""
-    with WorkerPool(session, workers=workers) as pool:
-        return pool.execute_many(requests)
 
 
 # -- the persistent daemon pool -------------------------------------------
@@ -492,11 +331,10 @@ class _PendingBatch:
 class DaemonPool:
     """A persistent pool of daemon workers surviving across batches.
 
-    Where :class:`WorkerPool` forks a fresh set of processes per pool
-    and must be torn down and rebuilt to observe newer session state, a
-    ``DaemonPool``'s workers are long-lived: each holds a private
-    session (inherited warm under ``fork``, rebuilt lazily under
-    ``spawn``) and :meth:`resnapshot` ships them an *incremental*
+    The workers are long-lived: each holds a private session (inherited
+    warm under ``fork``, rebuilt lazily under ``spawn``), the pool
+    answers against its latest snapshot until :meth:`resnapshot` moves
+    it forward, and that resync ships the workers an *incremental*
     snapshot delta — only the changed atoms and bumped generation
     counters — so object-fact churn leaves worker graph closures, region
     tables, compiled plans and order-part memos warm across batches.
@@ -951,6 +789,4 @@ __all__ = [
     "REPLY_RETRIES_ENV",
     "REPLY_TIMEOUT_ENV",
     "WORKER_CAP_ENV",
-    "WorkerPool",
-    "execute_parallel",
 ]

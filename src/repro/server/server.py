@@ -76,18 +76,24 @@ import time
 from contextlib import suppress
 
 from repro.api.session import Session
-from repro.cli import _METHODS, _SEMANTICS, _parse_stream_line, _result_payload
 from repro.core.sorts import objvar
 from repro.engine import faults
 from repro.engine.batch import Mutation, QueryRequest, execute_many, execute_stream
 from repro.engine.views import MaterializedView
 from repro.engine.wal import WalError, WalFollower
 from repro.server.protocol import (
+    _METHODS,
+    _SEMANTICS,
     MAX_FRAME,
     FrameError,
     PayloadError,
     ReadOnly,
     ReplicaLagging,
+    _batch_rows,
+    _parse_stream,
+    _result_payload,
+    _stream_order_names,
+    _stream_vocabulary,
     encode_frame,
     read_frame_async,
 )
@@ -668,38 +674,12 @@ class ReproServer:
             isinstance(l, str) for l in lines
         ):
             raise PayloadError("op 'batch' needs a 'lines' list of strings")
-        names = set(self.session.db.order_constants)
-        for line in lines:
-            stripped = line.strip()
-            for verb in ("assert:", "retract:"):
-                if stripped.startswith(verb):
-                    names |= scan_order_names(stripped[len(verb):])
-        vocab = self.session.db
-        for line in lines:
-            stripped = line.strip()
-            for verb in ("assert:", "retract:"):
-                if stripped.startswith(verb):
-                    vocab = vocab.union(
-                        parse_database(stripped[len(verb):], extra_order=names)
-                    )
-        ops = []
-        for line in lines:
-            parsed = _parse_stream_line(line, vocab, names)
-            if parsed is not None:
-                ops.append(parsed)
+        names = _stream_order_names(lines, self.session.db.order_constants)
+        vocab = _stream_vocabulary(self.session.db, lines, names)
+        ops = _parse_stream(lines, vocab, names)
         results = execute_stream(self.session, ops, pool=self._pool)
-        rows = []
-        for i, (parsed, result) in enumerate(zip(ops, results)):
-            if isinstance(parsed, Mutation):
-                rows.append({
-                    "op": i,
-                    "kind": parsed.kind,
-                    "atoms": [str(a) for a in parsed.atoms],
-                })
-            else:
-                rows.append({"op": i, "kind": "query", **_result_payload(result)})
         self._notify_watches(self._seq + 1)
-        return {"mode": "stream", "ops": rows}
+        return {"mode": "stream", "ops": _batch_rows(ops, results)}
 
     def _op_watch(self, conn: _Connection, req: dict) -> dict:
         request = self._parse_read(req)

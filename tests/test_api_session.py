@@ -474,6 +474,36 @@ class TestInvalidationEdgeCases:
             )
 
 
+class TestQuerySorts:
+    DB = "On(p1, lamp); On(p2, heater); Off(p3, lamp); p1 < p3; p1 < p2"
+
+    def test_mis_sorted_nary_argument_raises_sort_error(self):
+        # 't' / 'X' are order-sorted by their '<' atom, but every 'On'
+        # fact has an object in its second position: a typed error from
+        # validate() and execute(), before any decision procedure runs
+        from repro.core.errors import SortError
+        from repro.substrate.parser import parse_database, parse_query
+
+        db = parse_database(self.DB)
+        session = Session(db)
+        plans = [
+            session.prepare(parse_query("On(s, t) & s < t", db)),
+            session.prepare(
+                parse_query("On(s, X) & s < X", db), free_vars=(objvar("X"),)
+            ),
+        ]
+        for plan in plans:
+            for call in (plan.validate, plan.execute):
+                with pytest.raises(SortError, match="argument 2"):
+                    call()
+        # well-sorted reads on the same session are unaffected
+        ok = session.prepare(
+            parse_query("On(s, lamp) & Off(t, lamp) & s < t", db)
+        )
+        ok.validate()
+        assert ok.execute().holds
+
+
 class TestSessionApi:
     def test_entails_many_matches_individual(self):
         rng = random.Random(109)

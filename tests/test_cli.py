@@ -253,6 +253,67 @@ class TestWatchCommand:
         assert code == 2
 
 
+class TestRemoteStreamCommands:
+    """``batch``/``watch`` over ``--connect`` report exactly what the
+    local commands report for the same database and stream."""
+
+    DB = "On(p1, lamp); On(p2, heater); Off(p3, lamp); p1 < p3; p1 < p2\n"
+    JOIN = "On(s, X) & Off(t, X) & s < t"
+    BATCH = f"""
+# reads around both write kinds
+On(s, lamp) & Off(t, lamp) & s < t
+answers(X): {JOIN}
+assert: Off(p4, heater); p2 < p4
+answers(X): {JOIN}
+query: On(s, heater) & Off(t, heater) & s < t
+retract: Off(p3, lamp)
+answers(X): {JOIN}
+"""
+    WATCH = """
+# toggle observations under the view (atoms listed out of print order)
+assert: p2 < p4; Off(p4, heater)
+retract: Off(p3, lamp)
+assert: Off(p3, lamp)
+"""
+
+    def _run(self, tmp_path, capsys, argv, stream_text):
+        from repro.api import Session
+        from repro.server import ServerThread
+        from repro.substrate.parser import parse_database
+
+        db = tmp_path / "db.txt"
+        db.write_text(self.DB)
+        stream = tmp_path / "stream.txt"
+        stream.write_text(stream_text)
+        command, *rest = argv
+        assert main([command, str(db), *rest, str(stream), "--json"]) == 0
+        local = json.loads(capsys.readouterr().out)
+        thread = ServerThread(Session(parse_database(self.DB)))
+        host, port = thread.start()
+        try:
+            code = main([command, "-", *rest, str(stream), "--json",
+                         "--connect", f"{host}:{port}"])
+        finally:
+            thread.shutdown()
+        assert code == 0
+        return local, json.loads(capsys.readouterr().out)
+
+    def test_batch_remote_equals_local(self, tmp_path, capsys):
+        local, remote = self._run(tmp_path, capsys, ["batch"], self.BATCH)
+        assert len(local["ops"]) == 7
+        assert remote["ops"] == local["ops"]
+
+    def test_watch_remote_equals_local(self, tmp_path, capsys):
+        local, remote = self._run(
+            tmp_path, capsys, ["watch", self.JOIN, "--free-vars", "X"],
+            self.WATCH,
+        )
+        assert len(local["steps"]) == 4
+        assert any(step.get("added") for step in local["steps"])
+        assert any(step.get("removed") for step in local["steps"])
+        assert remote["steps"] == local["steps"]
+
+
 class TestBenchSessionCommand:
     def test_bench_session_entailment(self, db_file, capsys):
         code = main(

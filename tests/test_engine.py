@@ -3,7 +3,7 @@
 The load-bearing properties:
 
 * batched (``execute_many``), streamed (``execute_stream``), pooled
-  (``WorkerPool``) and view-maintained (``MaterializedView``) answers
+  (``DaemonPool``) and view-maintained (``MaterializedView``) answers
   are identical to sequential per-request Session execution — which the
   PR 2 suite already pins to the one-shot API — across randomized mixed
   read/write request streams;
@@ -27,14 +27,13 @@ from repro.core.entailment import certain_answers, explain
 from repro.core.sorts import obj, objvar, ordc, ordvar
 from repro.core.query import ConjunctiveQuery
 from repro.engine import (
+    DaemonPool,
     MaterializedView,
     Mutation,
     QueryRequest,
     SessionSnapshot,
     SnapshotMutationError,
-    WorkerPool,
     execute_many,
-    execute_parallel,
     execute_stream,
 )
 from repro.workloads.generators import (
@@ -224,7 +223,7 @@ class TestSnapshot:
         assert snap2.entails(q)
 
 
-class TestWorkerPool:
+class TestPooledBatch:
     def _requests(self, rng):
         db, ops = random_request_stream(
             rng, n_objects=3, n_queries=4, n_ops=10, write_prob=0.0
@@ -236,31 +235,32 @@ class TestWorkerPool:
         rng = random.Random(205)
         db, requests = self._requests(rng)
         sequential = execute_many(Session(db), requests)
-        with WorkerPool(Session(db), workers=2) as pool:
+        with DaemonPool(Session(db), workers=2) as pool:
             pooled = pool.execute_many(requests)
         assert pooled == sequential
 
     def test_sequential_fallback_matches_exactly(self):
         rng = random.Random(206)
         db, requests = self._requests(rng)
-        with WorkerPool(Session(db), workers=1) as pool:
+        with DaemonPool(Session(db), workers=1) as pool:
             assert not pool.parallel
             fallback = pool.execute_many(requests)
         expected = execute_many(Session(db), requests)
         assert fallback == expected
 
-    def test_execute_parallel_and_staleness_semantics(self):
+    def test_staleness_semantics(self):
         db = IndefiniteDatabase.of(P(u), Q(v), lt(u, v))
         q = ConjunctiveQuery.of(P(t1), Q(t2), lt(t1, t2))
-        session = Session(db)
-        results = execute_parallel(session, [QueryRequest(q)] * 3, workers=2)
-        assert [r.holds for r in results] == [True] * 3
-        # the pool answers against its construction-time snapshot
-        with WorkerPool(session, workers=1) as pool:
-            session.retract_order(lt(u, v))
-            assert pool.execute_many([QueryRequest(q)])[0].holds
-            pool.resnapshot(session)
-            assert not pool.execute_many([QueryRequest(q)])[0].holds
+        for workers in (1, 2):
+            session = Session(db)
+            with DaemonPool(session, workers=workers) as pool:
+                results = pool.execute_many([QueryRequest(q)] * 3)
+                assert [r.holds for r in results] == [True] * 3
+                # the pool answers against its last snapshot until resynced
+                session.retract_order(lt(u, v))
+                assert pool.execute_many([QueryRequest(q)])[0].holds
+                pool.resnapshot(session)
+                assert not pool.execute_many([QueryRequest(q)])[0].holds
 
 
 class TestMaterializedView:

@@ -4,9 +4,9 @@
 The load-bearing properties:
 
 * ``DaemonPool`` results are byte-for-byte — verdict, method tag,
-  countermodel, answers — those of sequential ``execute_many`` (and of
-  ``WorkerPool``), across incremental resyncs after *every* mutation
-  class (object / label / graph generation);
+  countermodel, answers — those of sequential ``execute_many``, across
+  incremental resyncs after *every* mutation class (object / label /
+  graph generation);
 * pipelined ``execute_stream`` equals sequential ``execute_stream``
   equals a one-op-at-a-time replay on randomized mixed streams,
   including streams that raise mid-way: the exception and the session
@@ -35,7 +35,6 @@ from repro.engine import (
     DaemonPool,
     Mutation,
     QueryRequest,
-    WorkerPool,
     execute_many,
     execute_stream,
 )
@@ -90,13 +89,22 @@ class TestDaemonPool:
         return db, [op for op in ops if isinstance(op, QueryRequest)]
 
     def test_matches_sequential_and_worker_pool_exactly(self):
+        # a warm pool resynced past a write answers exactly like the
+        # sequential engine and like a worker pool built fresh for the
+        # batch on the new state
         rng = random.Random(300)
         db, requests = self._requests(rng)
-        sequential = execute_many(Session(db), requests)
-        with DaemonPool(Session(db), workers=2) as pool:
+        session = Session(db)
+        with DaemonPool(session, workers=2) as pool:
+            assert pool.execute_many(requests) == execute_many(
+                Session(db), requests
+            )
+            session.retract_order(sorted(db.order_atoms)[0])
+            pool.resnapshot(session)
             daemon = pool.execute_many(requests)
-        with WorkerPool(Session(db), workers=2) as pool:
-            worker = pool.execute_many(requests)
+        with DaemonPool(session, workers=2) as fresh:
+            worker = fresh.execute_many(requests)
+        sequential = execute_many(Session(session.db), requests)
         assert daemon == sequential
         assert worker == sequential
 
@@ -401,18 +409,32 @@ class TestPoolHardening:
         q = ConjunctiveQuery.of(P(t1), Q(t2), lt(t1, t2))
         return db, [QueryRequest(q), QueryRequest(ConjunctiveQuery.of(Q(t1)))]
 
-    def test_runtime_error_degrades_worker_pool(self, monkeypatch):
+    def test_runtime_error_degrades_worker_pool(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # the CLI's pooled read fan-out (`batch --workers N` on a
+        # write-free stream) degrades to its labelled sequential mode
+        import json
         import multiprocessing
+
+        from repro.cli import main
+
+        db = tmp_path / "db.txt"
+        db.write_text("P(u); Q(v); u < v\n")
+        stream = tmp_path / "reads.txt"
+        stream.write_text("P(a) & a < b & Q(b)\nQ(b)\nQ(a) & a < b & P(b)\n")
+        argv = ["batch", str(db), str(stream), "--json"]
+        assert main(argv) == 0
+        expected = json.loads(capsys.readouterr().out)
 
         def boom(*args, **kwargs):
             raise RuntimeError("spawn bootstrap failed")
 
         monkeypatch.setattr(multiprocessing, "get_context", boom)
-        db, requests = self._db_requests()
-        with WorkerPool(Session(db), workers=2) as pool:
-            assert not pool.parallel
-            got = pool.execute_many(requests)
-        assert got == execute_many(Session(db), requests)
+        assert main(argv + ["--workers", "2"]) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        assert pooled["mode"] == "sequential"
+        assert pooled["ops"] == expected["ops"]
 
     def test_runtime_error_degrades_daemon_pool(self, monkeypatch):
         import multiprocessing

@@ -241,11 +241,14 @@ class TestResyncDrop:
         db, requests = _db_requests()
         session = Session(db)
         with _parallel_pool(session) as pool:
+            # drop the delta of a worker the batch is sure to reach: the
+            # one the first request's plan key has affinity to
+            owner = hash(requests[0].plan_key) % 2
             faults.install([FaultRule(
-                faults.SITE_RESYNC_DROP, params={"worker": 0}
+                faults.SITE_RESYNC_DROP, params={"worker": owner}
             )])
             session.assert_facts(ProperAtom("Tag", (obj("zz"),)))
-            pool.resnapshot(session)  # worker 0 never sees this delta
+            pool.resnapshot(session)  # the owner never sees this delta
             with caplog.at_level(logging.WARNING, logger="repro.engine.pool"):
                 got = pool.execute_many(requests)
             assert got == execute_many(Session(session.db), requests)

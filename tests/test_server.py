@@ -22,13 +22,17 @@ connection; the server keeps serving everyone else).
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
 from repro.api import Session
-from repro.cli import _SEMANTICS, _result_payload
 from repro.core.sorts import objvar
 from repro.engine import faults
 from repro.engine.batch import Mutation, QueryRequest
@@ -42,6 +46,7 @@ from repro.server import (
     ServerReplyError,
     ServerThread,
 )
+from repro.server.protocol import _SEMANTICS, _result_payload
 from repro.substrate.parser import parse_database, parse_query, scan_order_names
 
 DB_TEXT = """
@@ -152,6 +157,30 @@ class TestOps:
             unknown = client.call("no-such-op", check=False)
             assert unknown["error"]["type"] == "PayloadError"
             # both errors consumed a seq and the connection still works
+            assert client.ping()["pong"] is True
+
+    def test_mis_sorted_query_gets_sort_error_and_connection_lives(
+        self, served
+    ):
+        # 't' / 'X' are order-sorted by their '<' atom, but the 'On'
+        # facts hold objects in that position: a typed error reply (not
+        # an internal TypeError), and the reads pipelined around the bad
+        # ones in the same engine drain still get their verdicts
+        _, host, port = served
+        good = "On(s, lamp) & Off(t, lamp) & s < t"
+        with ReproClient(host, port) as client:
+            rids = [
+                client.send("execute", query=good),
+                client.send("execute", query="On(s, t) & s < t"),
+                client.send("answers", query="On(s, X) & s < X",
+                            free_vars=["X"]),
+                client.send("execute", query=good),
+            ]
+            replies = [client.wait(rid, check=False) for rid in rids]
+            assert [r["ok"] for r in replies] == [True, False, False, True]
+            assert replies[1]["error"]["type"] == "SortError"
+            assert replies[2]["error"]["type"] == "SortError"
+            assert replies[3]["entailed"] is True
             assert client.ping()["pong"] is True
 
     def test_stats_op(self, served):
@@ -353,6 +382,22 @@ class TestProtocol:
         with ReproClient(host, port) as client:
             assert client.ping()["pong"] is True
             assert client.stats()["protocol_errors"] >= 1
+
+
+    def test_server_package_does_not_import_the_cli(self):
+        # the wire layer lives in repro.server.protocol; the CLI is a
+        # client of the server package, never a dependency of it
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        code = (
+            "import sys, repro.server\n"
+            "assert 'repro.cli' not in sys.modules, 'repro.cli imported'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared workload builders for the benchmark suite.
 
 Every benchmark regenerates a row/series of the paper's evaluation
-artifacts (Tables 1-2 and Figures 1-8); see DESIGN.md section 5 for the
-experiment index and EXPERIMENTS.md for recorded results.  Correctness is
+artifacts (Tables 1-2 and Figures 1-8); see README.md ("Benchmarks") for
+how to run them and ROADMAP.md ("Benchmark workflow") for the recorded
+trajectory in ``BENCH_core.json``.  Correctness is
 asserted inside each benchmark body, so the timing numbers are produced by
 runs that provably computed the right answers.
 """

@@ -254,13 +254,10 @@ def entailment_sweep(
     if not norm.consistent:
         return {q: EntailmentWitness(True) for q in queries}
     engine = engine_for(norm.graph, caches)
-    fact_table = GroundingMachine.compile_facts(engine, db, norm.canon)
     want = set(witness_queries)
     out: dict[DisjunctiveQuery, EntailmentWitness] = {}
     for q in queries:
-        machine = GroundingMachine(
-            engine, db, norm.canon, as_dnf(q), fact_table
-        )
+        machine = GroundingMachine(engine, db, norm.canon, as_dnf(q))
         dp = RegionDP(engine, machine)
         if dp.entailed():
             out[q] = EntailmentWitness(True)

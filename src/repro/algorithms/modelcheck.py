@@ -41,6 +41,7 @@ the state share one subtree evaluation):
 
 from __future__ import annotations
 
+import weakref
 from itertools import product as iter_product
 from typing import Iterable, Mapping, Sequence
 
@@ -139,6 +140,9 @@ def _conjunct_satisfied(model: Structure, cq: ConjunctiveQuery) -> bool:
             ok = True
             for term, value in zip(atom.args, tup):
                 if term.is_var:
+                    if term.is_order != isinstance(value, int):
+                        ok = False  # a variable only takes its own sort
+                        break
                     existing = assignment.get(term)
                     if existing is None:
                         assignment[term] = value
@@ -348,46 +352,308 @@ _FOREIGN = (
     "eliminate query constants first"
 )
 
+#: Compiled argument operations of the grounding join (one per atom
+#: position that needs work): bind a variable's first occurrence, check
+#: an already bound object variable or an object constant, and record
+#: the coincidence of an already bound order variable or an order
+#: constant with the fact's vertex.
+_BIND, _CHECK, _CONST, _EQ_SLOT, _EQ_CONST = range(5)
+
+
+class FactIndex:
+    """The query-independent side of the grounding join over one database.
+
+    Facts are stored as ``(values, order_mask)``: order constants as the
+    engine's interned vertex ids (of their canonical vertex), objects by
+    name, and bit ``i`` of ``order_mask`` set when position ``i`` is
+    order-sorted.  ``scan`` buckets them by ``(pred, arity)`` in sorted
+    atom order; ``probe`` indexes them by ``(pred, arity, position,
+    object name)`` in the same order, so a join step with a bound object
+    argument visits exactly the facts that can match it, in the order a
+    full scan would.  Obtain instances through :func:`fact_index`, which
+    builds one per database.
+    """
+
+    __slots__ = ("verts", "canon", "vid", "objects", "scan", "probe")
+
+    def __init__(
+        self,
+        engine: ModelEngine,
+        db: IndefiniteDatabase,
+        canon: Mapping[str, str],
+    ) -> None:
+        index = engine.index
+        self.verts = engine.verts
+        self.canon = canon
+        #: order-constant name -> vertex id, for the names the model interprets
+        self.vid = {
+            name: index[c] for name, c in canon.items() if c in index
+        }
+        self.objects = db.object_constants
+        scan: dict[tuple, list[tuple]] = {}
+        probe: dict[tuple, list[tuple]] = {}
+        for atom in sorted(db.proper_atoms):
+            values = []
+            order_mask = 0
+            for i, t in enumerate(atom.args):
+                if t.is_order:
+                    order_mask |= 1 << i
+                    values.append(index[canon.get(t.name, t.name)])
+                else:
+                    values.append(t.name)
+            fact = (tuple(values), order_mask)
+            key = (atom.pred, len(values))
+            scan.setdefault(key, []).append(fact)
+            for i, value in enumerate(values):
+                if not order_mask >> i & 1:
+                    probe.setdefault(key + (i, value), []).append(fact)
+        self.scan = scan
+        self.probe = probe
+
+    def fits(self, engine: ModelEngine, canon: Mapping[str, str]) -> bool:
+        """Was this index built against ``engine``'s interning and ``canon``?"""
+        return self.verts == engine.verts and self.canon == canon
+
+
+_FACT_INDEXES: "weakref.WeakKeyDictionary[IndefiniteDatabase, FactIndex]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def fact_index(
+    engine: ModelEngine, db: IndefiniteDatabase, canon: Mapping[str, str]
+) -> FactIndex:
+    """The :class:`FactIndex` of ``db``, built once per database.
+
+    Kept beside the (immutable) database rather than on the engine or a
+    region cache, which are shared between databases that differ only
+    in object facts.  An entry whose vertex interning no longer fits is
+    rebuilt.
+    """
+    cached = _FACT_INDEXES.get(db)
+    if cached is not None and cached.fits(engine, canon):
+        return cached
+    built = _FACT_INDEXES[db] = FactIndex(engine, db, canon)
+    return built
+
+
+class _Join:
+    """One disjunct compiled against a :class:`FactIndex`.
+
+    Query variables are interned to slots of one value array; order
+    constants of the order atoms get prefilled slots of their own.  Per
+    proper atom the plan holds its ``(pred, arity)`` bucket key, the
+    order mask its facts must carry (a term matches only values of its
+    own sort), the probe on its first bound object argument (if any),
+    the position ops, and its first foreign constant (if any).
+    """
+
+    __slots__ = (
+        "facts", "atoms", "n_slots", "consts", "loose", "order_ops",
+        "order_foreign",
+    )
+
+    def __init__(self, cq: ConjunctiveQuery, facts: FactIndex) -> None:
+        self.facts = facts
+        slots: dict[Term, int] = {}
+        atoms = []
+        for atom in cq.proper_atoms:
+            key = (atom.pred, len(atom.args))
+            bound_before = set(slots)
+            order_mask = 0
+            probe = None
+            foreign = None
+            ops = []
+            for pos, term in enumerate(atom.args):
+                if term.is_order:
+                    order_mask |= 1 << pos
+                if term.is_var:
+                    slot = slots.get(term)
+                    if slot is None:
+                        slot = slots[term] = len(slots)
+                        ops.append((pos, _BIND, slot))
+                    elif term.is_order:
+                        ops.append((pos, _EQ_SLOT, slot))
+                    else:
+                        ops.append((pos, _CHECK, slot))
+                        if probe is None and term in bound_before:
+                            probe = (key + (pos,), None, slot)
+                elif term.is_order:
+                    vid = facts.vid.get(term.name)
+                    if vid is None and foreign is None:
+                        foreign = (pos, term.name, tuple(ops))
+                    ops.append((pos, _EQ_CONST, vid))
+                else:
+                    if term.name not in facts.objects and foreign is None:
+                        foreign = (pos, term.name, tuple(ops))
+                    ops.append((pos, _CONST, term.name))
+                    if probe is None:
+                        probe = (key + (pos,), term.name, -1)
+            if probe is not None:
+                # the probe already guarantees its own position
+                ops = [op for op in ops if op[0] != probe[0][2]]
+            atoms.append((key, order_mask, probe, tuple(ops), foreign))
+        self.atoms = atoms
+        in_proper = set(slots)
+        loose = sorted(
+            {
+                t
+                for a in cq.order_atoms
+                for t in (a.left, a.right)
+                if t.is_var and t not in in_proper
+            }
+            | {v for v in cq.extra_order_vars if v not in in_proper},
+            key=lambda t: t.name,
+        )
+        self.loose = [slots.setdefault(v, len(slots)) for v in loose]
+        consts: dict[int, int] = {}
+        order_ops = []
+        self.order_foreign = None
+        for a in cq.order_atoms:
+            refs = []
+            for t in (a.left, a.right):
+                if t.is_var:
+                    refs.append(slots[t])
+                    continue
+                vid = facts.vid.get(t.name)
+                if vid is None:
+                    self.order_foreign = t.name
+                    break
+                slot = slots.setdefault(t, len(slots))
+                consts[slot] = vid
+                refs.append(slot)
+            if self.order_foreign is not None:
+                break
+            kind = _LT if a.rel is Rel.LT else _LE if a.rel is Rel.LE else _NE
+            order_ops.append((kind, refs[0], refs[1]))
+        self.order_ops = order_ops
+        self.consts = consts
+        self.n_slots = len(slots)
+
+    def run(self, n_verts: int, seen: dict) -> None:
+        """Add each satisfying proper-match × loose-assignment, as a
+        frozenset of ``(u, v, kind)`` vertex-pair constraints, to ``seen``
+        in depth-first order (proper atoms in query order, facts in
+        sorted order, loose variables by name)."""
+        env: list = [None] * self.n_slots
+        for slot, vid in self.consts.items():
+            env[slot] = vid
+        eqs: list[tuple[int, int]] = []
+        scan, probe_index = self.facts.scan, self.facts.probe
+        atoms, n_atoms = self.atoms, len(self.atoms)
+        loose, order_ops = self.loose, self.order_ops
+        order_foreign = self.order_foreign
+        verts = range(n_verts)
+
+        def leaves() -> None:
+            for combo in iter_product(verts, repeat=len(loose)):
+                for slot, vid in zip(loose, combo):
+                    env[slot] = vid
+                pairs: set[tuple[int, int, int]] = set()
+                for kind, ls, rs in order_ops:
+                    u, v = env[ls], env[rs]
+                    if kind == _LE:
+                        if u != v:
+                            pairs.add((u, v, _LE))
+                    elif u == v:
+                        break  # '<' or '!=' between one vertex: dead
+                    elif kind == _LT:
+                        pairs.add((u, v, _LT))
+                    else:
+                        pairs.add((u, v, _NE) if u < v else (v, u, _NE))
+                else:
+                    if order_foreign is not None:
+                        raise KeyError(_FOREIGN.format(name=order_foreign))
+                    for x, y in eqs:
+                        pairs.add((x, y, _EQ) if x < y else (y, x, _EQ))
+                    seen.setdefault(frozenset(pairs), None)
+
+        def match(i: int) -> None:
+            if i == n_atoms:
+                leaves()
+                return
+            key, order_mask, probe, ops, foreign = atoms[i]
+            if foreign is not None:
+                # a foreign constant matches no fact; it raises as soon as
+                # some fact agrees with every position before it
+                pos, name, prefix_ops = foreign
+                if any(
+                    _prefix_matches(fact, order_mask, prefix_ops, pos, env)
+                    for fact in scan.get(key, ())
+                ):
+                    raise KeyError(_FOREIGN.format(name=name))
+                return
+            if probe is None:
+                candidates = scan.get(key, ())
+            else:
+                prefix, value, slot = probe
+                if slot >= 0:
+                    value = env[slot]
+                candidates = probe_index.get(prefix + (value,), ())
+            mark = len(eqs)
+            for values, mask in candidates:
+                if mask != order_mask:
+                    continue
+                for pos, op, arg in ops:
+                    value = values[pos]
+                    if op == _BIND:
+                        env[arg] = value
+                    elif op == _EQ_SLOT:
+                        if env[arg] != value:
+                            eqs.append((env[arg], value))
+                    elif op == _EQ_CONST:
+                        if arg != value:
+                            eqs.append((arg, value))
+                    elif op == _CHECK:
+                        if env[arg] != value:
+                            break
+                    elif arg != value:  # _CONST
+                        break
+                else:
+                    match(i + 1)
+                del eqs[mark:]
+
+        match(0)
+
+
+def _prefix_matches(fact, order_mask, ops, end, env) -> bool:
+    """Does a fact agree with a join step on every position before ``end``
+    (sorts included)?  Decides whether a foreign constant at ``end`` is
+    reached."""
+    values, mask = fact
+    if (mask ^ order_mask) & ((1 << end) - 1):
+        return False
+    local = list(env)
+    for pos, op, arg in ops:
+        value = values[pos]
+        if op == _BIND:
+            local[arg] = value
+        elif op == _CHECK and local[arg] != value:
+            return False
+        elif op == _CONST and arg != value:
+            return False
+    return True
+
 
 class GroundingMachine:
     """Viable-grounding state for n-ary queries over minimal models.
 
-    Compilation mirrors :func:`_conjunct_satisfied` once, against the
-    database instead of a materialized model: proper atoms are matched
-    against the database facts (object terms bind by name, order terms
-    anchor to the canonical vertex of the fact's constant), remaining
-    order variables are enumerated over the graph's vertices, and the
-    query's order atoms plus the anchor coincidences become vertex-pair
-    constraints (``=``/``<``/``<=``/``!=`` on block indices).  A
-    constraint resolves the moment its first endpoint is sorted into a
-    block, so the machine state is the bitmask of groundings with no
-    failed constraint; a viable grounding whose constraints are all
-    resolved satisfies the query in every completion.
+    Compilation grounds the query once against the database instead of
+    a materialized model: each disjunct is compiled to a :class:`_Join`
+    whose proper atoms are matched against the database's
+    :class:`FactIndex` (object terms bind by name, order terms anchor to
+    the canonical vertex of the fact's constant; a term only matches
+    facts of its own sort), remaining order variables are enumerated
+    over the graph's vertices, and the query's order atoms plus the
+    anchor coincidences become vertex-pair constraints
+    (``=``/``<``/``<=``/``!=`` on block indices).  A constraint resolves
+    the moment its first endpoint is sorted into a block, so the machine
+    state is the bitmask of groundings with no failed constraint; a
+    viable grounding whose constraints are all resolved satisfies the
+    query in every completion.
     """
 
     __slots__ = ("groundings", "pair_lists")
-
-    @staticmethod
-    def compile_facts(
-        engine: ModelEngine,
-        db: IndefiniteDatabase,
-        canon: Mapping[str, str],
-    ) -> tuple[dict[str, list[tuple]], set[str]]:
-        """The query-independent fact table: ``pred -> entries`` (order
-        constants as interned canonical vertex ids, objects by name) plus
-        the object-constant set.  Build once per sweep and pass to every
-        machine over the same database."""
-        index = engine.index
-        facts: dict[str, list[tuple]] = {}
-        for atom in sorted(db.proper_atoms):
-            entry = tuple(
-                ("v", index[canon.get(t.name, t.name)])
-                if t.is_order
-                else ("o", t.name)
-                for t in atom.args
-            )
-            facts.setdefault(atom.pred, []).append(entry)
-        return facts, db.object_constants
 
     def __init__(
         self,
@@ -395,18 +661,11 @@ class GroundingMachine:
         db: IndefiniteDatabase,
         canon: Mapping[str, str],
         dnf: DisjunctiveQuery,
-        fact_table: tuple[dict[str, list[tuple]], set[str]] | None = None,
     ) -> None:
-        index = engine.index
-        if fact_table is None:
-            fact_table = self.compile_facts(engine, db, canon)
-        facts, objects = fact_table
+        facts = fact_index(engine, db, canon)
         seen: dict[frozenset, None] = {}
         for cq in dnf.disjuncts:
-            for pairs in self._disjunct_groundings(
-                cq, facts, objects, canon, index, engine.n
-            ):
-                seen.setdefault(pairs, None)
+            _Join(cq, facts).run(engine.n, seen)
         self.groundings = list(seen)
         self.pair_lists = [
             tuple(
@@ -415,110 +674,6 @@ class GroundingMachine:
             )
             for pairs in self.groundings
         ]
-
-    # -- compilation -------------------------------------------------------
-
-    @staticmethod
-    def _disjunct_groundings(cq, facts, objects, canon, index, n_verts):
-        """Yield each satisfying proper-match × loose-assignment of ``cq``
-        as a frozenset of ``(u, v, kind)`` vertex-pair constraints."""
-        proper = list(cq.proper_atoms)
-        order_atoms = cq.order_atoms
-        assignment: dict[Term, tuple] = {}
-        eqs: list[tuple[int, int]] = []
-
-        def resolve_order_const(name: str) -> int:
-            if name not in canon or canon[name] not in index:
-                raise KeyError(_FOREIGN.format(name=name))
-            return index[canon[name]]
-
-        def leaves():
-            loose = sorted(
-                (
-                    {
-                        t
-                        for a in order_atoms
-                        for t in (a.left, a.right)
-                        if t.is_var and t not in assignment
-                    }
-                    | {v for v in cq.extra_order_vars if v not in assignment}
-                ),
-                key=lambda t: t.name,
-            )
-            for combo in iter_product(range(n_verts), repeat=len(loose)):
-                binding = dict(zip(loose, combo))
-
-                def vid_of(term: Term) -> int:
-                    if term.is_const:
-                        return resolve_order_const(term.name)
-                    if term in binding:
-                        return binding[term]
-                    return assignment[term][1]
-
-                pairs: set[tuple[int, int, int]] = set()
-                dead = False
-                for a in order_atoms:
-                    u, v = vid_of(a.left), vid_of(a.right)
-                    if a.rel is Rel.LT:
-                        if u == v:
-                            dead = True
-                            break
-                        pairs.add((u, v, _LT))
-                    elif a.rel is Rel.LE:
-                        if u != v:
-                            pairs.add((u, v, _LE))
-                    else:
-                        if u == v:
-                            dead = True
-                            break
-                        pairs.add((min(u, v), max(u, v), _NE))
-                if dead:
-                    continue
-                for x, y in eqs:
-                    if x != y:
-                        pairs.add((min(x, y), max(x, y), _EQ))
-                yield frozenset(pairs)
-
-        def match(i: int):
-            if i == len(proper):
-                yield from leaves()
-                return
-            atom = proper[i]
-            for fact in facts.get(atom.pred, ()):
-                if len(fact) != len(atom.args):
-                    continue
-                bound: list[Term] = []
-                n_eqs = 0
-                ok = True
-                for term, val in zip(atom.args, fact):
-                    if term.is_var:
-                        existing = assignment.get(term)
-                        if existing is None:
-                            assignment[term] = val
-                            bound.append(term)
-                        elif term.is_order:
-                            eqs.append((existing[1], val[1]))
-                            n_eqs += 1
-                        elif existing != val:
-                            ok = False
-                            break
-                    elif term.is_order:
-                        eqs.append((resolve_order_const(term.name), val[1]))
-                        n_eqs += 1
-                    else:
-                        if term.name not in objects:
-                            raise KeyError(_FOREIGN.format(name=term.name))
-                        if ("o", term.name) != val:
-                            ok = False
-                            break
-                if ok:
-                    yield from match(i + 1)
-                for t in bound:
-                    del assignment[t]
-                if n_eqs:
-                    del eqs[-n_eqs:]
-
-        yield from match(0)
 
     # -- the machine protocol ----------------------------------------------
 

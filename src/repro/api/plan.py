@@ -206,8 +206,10 @@ class ExecutionContext:
     """Database-side execution state with granular invalidation.
 
     One context lives on each :class:`~repro.api.session.Session`
-    (plans build private ones for padded or constant-augmented
-    databases).  Everything is derived lazily and cached; the three
+    (plans build private ones for padded databases and for queries with
+    order constants; queries with only object constants get a twin
+    sharing this one's graph and caches, see :meth:`with_object_facts`).
+    Everything is derived lazily and cached; the three
     ``*_changed`` hooks invalidate only what a mutation can affect:
 
     * ``facts_changed`` — object-constant facts: drops the object-fact
@@ -354,6 +356,25 @@ class ExecutionContext:
             self._graph = None
         if self._hub is not None:
             self._hub.clear()
+
+    # -- derived contexts --------------------------------------------------
+
+    def with_object_facts(self, db: IndefiniteDatabase) -> "ExecutionContext":
+        """A context over ``db``: this database plus facts on object
+        constants only (what eliminating a query's object constants adds).
+
+        Object facts touch neither the order graph nor its labels, so the
+        twin shares this context's graph *instance* and its region cache
+        hub — the closures, the region memos and the minimal-model engine
+        of this graph generation are built once for both — and derives
+        only its fact views afresh.  Contexts whose extra facts sit on
+        order constants change the labels and must be built fresh.
+        """
+        twin = self.fork()
+        twin._graph = self.graph
+        twin._hub = self.hub  # the hub itself, not a fork
+        twin.facts_changed(db)
+        return twin
 
     # -- snapshots ---------------------------------------------------------
 
@@ -565,7 +586,21 @@ class PreparedQuery:
         #: None = closed query; a tuple (possibly empty) = open query
         self.free_vars = None if free_vars is None else tuple(free_vars)
         self._dnf0 = as_dnf(query)
-        self._has_constants = bool(self._dnf0.constants())
+        if free_vars is not None:
+            # by name: a name the query uses at the order sort is a sort
+            # error, which binding reports (see :meth:`_check_sorts`)
+            known = {
+                v.name for d in self._dnf0.disjuncts for v in d.variables()
+            }
+            unknown = sorted(v.name for v in free_vars if v.name not in known)
+            if unknown:
+                raise ValueError(
+                    "free variable(s) not in the query: " + ", ".join(unknown)
+                )
+        constants = self._dnf0.constants()
+        self._has_constants = bool(constants)
+        #: constant elimination adds only object facts (see :meth:`_bind`)
+        self._object_constants_only = all(c.is_object for c in constants)
         #: ``(pred, position, sort) -> a query atom with that argument``,
         #: over the n-ary atoms (see :meth:`_check_sorts`)
         self._nary_args = {
@@ -620,6 +655,8 @@ class PreparedQuery:
                 db2 if db2 is not None else base.db, static.pad_dnf
             )
             ctx = ExecutionContext(padded)
+        elif db2 is not None and self._object_constants_only:
+            ctx = base.with_object_facts(db2)
         elif db2 is not None:
             ctx = ExecutionContext(db2)
         else:

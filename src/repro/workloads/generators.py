@@ -205,10 +205,23 @@ def random_certain_answers_workload(
             for pred in obj_preds:
                 if rng.random() < 0.4:
                     q_atoms.append(ProperAtom(pred, (v,)))
-        disjuncts.append(
-            ConjunctiveQuery.from_atoms(q_atoms, order_part.extra_order_vars)
-        )
-    return db, DisjunctiveQuery(tuple(disjuncts)), free
+        disjuncts.append((q_atoms, order_part.extra_order_vars))
+    # a free variable must occur in the query: guard any the draws left
+    # out with the first object predicate in the first disjunct
+    used = {
+        t
+        for q_atoms, _ in disjuncts
+        for a in q_atoms
+        if isinstance(a, ProperAtom)
+        for t in a.args
+    }
+    for v in free:
+        if v not in used and disjuncts:
+            disjuncts[0][0].append(ProperAtom(obj_preds[0], (v,)))
+    return db, DisjunctiveQuery(tuple(
+        ConjunctiveQuery.from_atoms(q_atoms, extra)
+        for q_atoms, extra in disjuncts
+    )), free
 
 
 def random_request_stream(

@@ -183,6 +183,24 @@ class TestOps:
             assert replies[3]["entailed"] is True
             assert client.ping()["pong"] is True
 
+    def test_unknown_free_variable_gets_value_error_and_connection_lives(
+        self, served
+    ):
+        # 'Y' names no variable of the query: a typed error reply instead
+        # of silently answering for 'X'
+        _, host, port = served
+        with ReproClient(host, port) as client:
+            rids = [
+                client.send("answers", query="On(s, X)", free_vars=["Y"]),
+                client.send("answers", query="On(s, X)", free_vars=["X"]),
+            ]
+            bad, good = [client.wait(rid, check=False) for rid in rids]
+            assert bad["ok"] is False
+            assert bad["error"]["type"] == "ValueError"
+            assert "Y" in bad["error"]["message"]
+            assert good["answers"] == [["heater"], ["lamp"]]
+            assert client.ping()["pong"] is True
+
     def test_stats_op(self, served):
         _, host, port = served
         with ReproClient(host, port) as client:

@@ -74,7 +74,7 @@ from repro.core.semantics import (
     pad_for_integers,
     tighten_for_rationals,
 )
-from repro.core.sorts import Sort, Term, obj, ordvar
+from repro.core.sorts import Term, obj, ordvar
 from repro.inequality.neq import expand_query_neq
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -242,7 +242,6 @@ class ExecutionContext:
         self._splittable: bool | None = None
         self._object_facts: dict[str, set[str]] | None = None
         self._object_domain: list[str] | None = None
-        self._arg_sorts: dict[tuple[str, int], set[Sort]] | None = None
         #: bumped whenever cached order-part verdicts become stale
         self.label_epoch = 0
 
@@ -319,17 +318,6 @@ class ExecutionContext:
             self._object_domain = sorted(self.db.object_constants)
         return self._object_domain
 
-    @property
-    def arg_sorts(self) -> dict[tuple[str, int], set[Sort]]:
-        """``(pred, position) -> sorts`` of the facts' arguments there."""
-        if self._arg_sorts is None:
-            sorts: dict[tuple[str, int], set[Sort]] = {}
-            for atom in self.db.proper_atoms:
-                for i, arg in enumerate(atom.args):
-                    sorts.setdefault((atom.pred, i), set()).add(arg.sort)
-            self._arg_sorts = sorts
-        return self._arg_sorts
-
     # -- invalidation ------------------------------------------------------
 
     def facts_changed(self, db: IndefiniteDatabase) -> None:
@@ -337,7 +325,6 @@ class ExecutionContext:
         self._splittable = None
         self._object_facts = None
         self._object_domain = None
-        self._arg_sorts = None
 
     def labels_changed(self, db: IndefiniteDatabase) -> None:
         self.facts_changed(db)
@@ -400,7 +387,6 @@ class ExecutionContext:
         twin._splittable = self._splittable
         twin._object_facts = self._object_facts
         twin._object_domain = self._object_domain
-        twin._arg_sorts = self._arg_sorts
         twin.label_epoch = self.label_epoch
         return twin
 
@@ -675,7 +661,7 @@ class PreparedQuery:
         """
         if not self._nary_args:
             return
-        db_sorts = ctx.arg_sorts
+        db_sorts = ctx.db.vocabulary.arg_sorts
         for (pred, i, sort), atom in self._nary_args.items():
             seen = db_sorts.get((pred, i))
             if seen is not None and sort not in seen:

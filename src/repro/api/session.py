@@ -138,6 +138,9 @@ class Session:
         self._proper: set[ProperAtom] = set(db.proper_atoms)
         self._order: set[OrderAtom] = set(db.order_atoms)
         self._db: IndefiniteDatabase | None = db
+        #: the last built database while ``_db`` is stale: the next
+        #: build succeeds it, inheriting its vocabulary when unchanged
+        self._stale_db: IndefiniteDatabase | None = None
         self._order_names: set[str] | None = None
         self._object_names: set[str] | None = None
         self._graph_gen = 0
@@ -181,10 +184,16 @@ class Session:
     def db(self) -> IndefiniteDatabase:
         """The current database as an immutable snapshot."""
         if self._db is None:
-            self._db = IndefiniteDatabase(
+            self._db = self._stale_db.successor(
                 frozenset(self._proper), frozenset(self._order)
             )
+            self._stale_db = None
         return self._db
+
+    def _drop_db(self) -> None:
+        """Mark the frozen database stale; :attr:`db` rebuilds it lazily."""
+        if self._db is not None:
+            self._stale_db, self._db = self._db, None
 
     def size(self) -> int:
         """Total number of atoms currently asserted."""
@@ -313,7 +322,7 @@ class Session:
         self._proper.difference_update(delta.removed_proper)
         self._order.update(delta.added_order)
         self._order.difference_update(delta.removed_order)
-        self._db = None
+        self._drop_db()
         self._order_names = None
         self._object_names = None
         (self._graph_gen, self._label_gen, self._object_gen) = delta.gens
@@ -401,7 +410,7 @@ class Session:
         # that only these new atoms mention count as fresh vertices.
         known = self._known_order_names()
         self._proper.update(added)
-        self._db = None
+        self._drop_db()
         order_args = [
             t for a in added for t in a.args if t.is_order
         ]
@@ -468,7 +477,7 @@ class Session:
         if not removed:
             return self
         self._proper.difference_update(removed)
-        self._db = None
+        self._drop_db()
         had_order = any(t.is_order for a in removed for t in a.args)
         # zero-arity facts ride the object generation (see assert_facts)
         had_object = any(
@@ -513,7 +522,7 @@ class Session:
                 raise SortError(f"database order atom must be ground: {atom}")
         self._check_sort_clash((), added)
         self._order.update(added)
-        self._db = None
+        self._drop_db()
         self._graph_gen += 1
         if self._order_names is not None:
             for a in added:
@@ -545,7 +554,7 @@ class Session:
         if not removed:
             return self
         self._order.difference_update(removed)
-        self._db = None
+        self._drop_db()
         self._order_names = None
         self._graph_gen += 1
         self._graph_shared = False

@@ -16,6 +16,7 @@ the two readings.  ``MonadicDatabase`` is an alias of :class:`LabeledDag`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from repro.core.atoms import OrderAtom, ProperAtom, Rel
@@ -23,6 +24,52 @@ from repro.core.errors import InconsistentError, NotMonadicError, SortError
 from repro.core.ordergraph import OrderGraph
 from repro.core.sorts import Sort, Term, ordc
 from repro.flexiwords.flexiword import FlexiWord
+
+
+class Vocabulary:
+    """What a database's facts say about the names a query may use.
+
+    ``order_constants`` and ``object_constants`` are the constant names
+    of each sort, and ``arg_sorts`` maps ``(pred, position)`` to the
+    sorts the facts put there.  Parsing a query text against a database
+    depends on nothing else, so ``parses`` — the bounded text -> query
+    memo :func:`repro.substrate.parser.parse_query` keeps — lives here:
+    a database with a new vocabulary gets a new, empty memo.
+
+    Treat a vocabulary as read-only; only ``parses`` grows.
+    """
+
+    __slots__ = ("order_constants", "object_constants", "arg_sorts", "parses")
+
+    def __init__(
+        self,
+        proper_atoms: Iterable[ProperAtom],
+        order_atoms: Iterable[OrderAtom],
+    ) -> None:
+        order: set[str] = set()
+        objects: set[str] = set()
+        sorts: dict[tuple[str, int], set[Sort]] = {}
+        for atom in proper_atoms:
+            for i, t in enumerate(atom.args):
+                (order if t.is_order else objects).add(t.name)
+                sorts.setdefault((atom.pred, i), set()).add(t.sort)
+        for atom in order_atoms:
+            order.add(atom.left.name)
+            order.add(atom.right.name)
+        self.order_constants: frozenset[str] = frozenset(order)
+        self.object_constants: frozenset[str] = frozenset(objects)
+        self.arg_sorts: dict[tuple[str, int], frozenset[Sort]] = {
+            key: frozenset(s) for key, s in sorts.items()
+        }
+        self.parses: dict = {}
+
+    def same_parts(self, other: "Vocabulary") -> bool:
+        """True when both vocabularies hold equal constant sets and sorts."""
+        return (
+            self.order_constants == other.order_constants
+            and self.object_constants == other.object_constants
+            and self.arg_sorts == other.arg_sorts
+        )
 
 
 @dataclass(frozen=True)
@@ -80,12 +127,55 @@ class IndefiniteDatabase:
         """The empty database (its unique minimal model is empty)."""
         return cls(frozenset(), frozenset())
 
+    def successor(
+        self,
+        proper_atoms: frozenset[ProperAtom],
+        order_atoms: frozenset[OrderAtom],
+    ) -> "IndefiniteDatabase":
+        """A database over new atom sets that may inherit this one's
+        :attr:`vocabulary` object.
+
+        Nothing is computed here: the successor records the vocabulary
+        this database has (or itself inherited), and its own first
+        :attr:`vocabulary` access reuses that object when the parts come
+        out equal — so a chain of writes that never change the
+        vocabulary keeps every memo keyed on it warm.
+        """
+        nxt = IndefiniteDatabase(proper_atoms, order_atoms)
+        prior = self.__dict__.get("vocabulary") or self.__dict__.get("_prior")
+        if prior is not None:
+            nxt.__dict__["_prior"] = prior
+        return nxt
+
+    def __getstate__(self) -> dict:
+        # pickle the atoms only: the vocabulary and its parse memo are
+        # per-process caches rebuilt on first use
+        return {
+            "proper_atoms": self.proper_atoms,
+            "order_atoms": self.order_atoms,
+        }
+
     # -- inspection ---------------------------------------------------------
 
     def atoms(self) -> Iterator[ProperAtom | OrderAtom]:
         """All atoms, proper first (deterministic order)."""
         yield from sorted(self.proper_atoms)
         yield from sorted(self.order_atoms)
+
+    @cached_property
+    def vocabulary(self) -> Vocabulary:
+        """The constant sets and ``(pred, position) -> sorts`` table.
+
+        Computed on first access, never by the constructor, so databases
+        built only to be mutated again (a log replay) never pay for it.
+        A database made by :meth:`successor` returns its predecessor's
+        object when the parts are equal.
+        """
+        fresh = Vocabulary(self.proper_atoms, self.order_atoms)
+        prior = self.__dict__.pop("_prior", None)
+        if prior is not None and prior.same_parts(fresh):
+            return prior
+        return fresh
 
     @property
     def order_constants(self) -> set[str]:

@@ -43,6 +43,27 @@ from repro.core.sorts import Term, fresh_names, objvar, ordvar
 from repro.flexiwords.flexiword import FlexiWord
 
 
+def _memo_hash(query, fields: tuple) -> int:
+    """``hash(fields)``, computed once per query object.
+
+    A served query is hashed several times per read (plan cache, batch
+    grouping), each time over its whole atom tree; queries are
+    immutable, so the first result is kept on the instance.
+    """
+    h = query.__dict__.get("_hash")
+    if h is None:
+        h = query.__dict__["_hash"] = hash(fields)
+    return h
+
+
+def _state_without_hash(query) -> dict:
+    # string hashes are salted per process: a memoized hash must not
+    # travel to another process (pool workers, pickled requests)
+    state = dict(query.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 @dataclass(frozen=True)
 class ConjunctiveQuery:
     """A conjunction of atoms, all variables existentially quantified.
@@ -55,6 +76,11 @@ class ConjunctiveQuery:
 
     atoms: tuple[Atom, ...]
     extra_order_vars: frozenset[Term] = frozenset()
+
+    def __hash__(self) -> int:
+        return _memo_hash(self, (self.atoms, self.extra_order_vars))
+
+    __getstate__ = _state_without_hash
 
     @classmethod
     def of(cls, *atoms: Atom) -> "ConjunctiveQuery":
@@ -292,6 +318,11 @@ class DisjunctiveQuery:
     """A disjunction of conjunctive queries (disjunctive normal form)."""
 
     disjuncts: tuple[ConjunctiveQuery, ...]
+
+    def __hash__(self) -> int:
+        return _memo_hash(self, self.disjuncts)
+
+    __getstate__ = _state_without_hash
 
     @classmethod
     def of(cls, *disjuncts: ConjunctiveQuery) -> "DisjunctiveQuery":

@@ -166,7 +166,9 @@ def _closed_sweepable(plan: PreparedQuery) -> bool:
 
 
 def execute_many(
-    session: Session, requests: Iterable[QueryRequest]
+    session: Session,
+    requests: Iterable[QueryRequest],
+    plans: list[PreparedQuery] | None = None,
 ) -> list[Result]:
     """Execute a batch of reads, sharing work across the whole batch.
 
@@ -178,6 +180,11 @@ def execute_many(
     with the method tag and witness their own execution would have
     produced, so batched, pooled and sequential execution can never be
     told apart from the results.
+
+    ``plans``, when given, holds each request's plan from
+    ``request.prepare(session)`` at the current generation (a caller
+    that validated its reads first has them already); the batch then
+    prepares nothing again.
     """
     requests = list(requests)
     groups: dict[tuple, list[int]] = {}
@@ -188,7 +195,10 @@ def execute_many(
     open_pool: list[tuple[list[int], PreparedQuery]] = []
     closed_pool: list[tuple[list[int], PreparedQuery]] = []
     for key, indices in groups.items():
-        plan = requests[indices[0]].prepare(session)
+        if plans is None:
+            plan = requests[indices[0]].prepare(session)
+        else:
+            plan = plans[indices[0]]
         if _sweepable(plan):
             open_pool.append((indices, plan))
         elif _closed_sweepable(plan):

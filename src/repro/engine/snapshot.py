@@ -54,6 +54,7 @@ class SessionSnapshot(Session):
         self._proper = set(db.proper_atoms)
         self._order = set(db.order_atoms)
         self._db = db
+        self._stale_db = None
         self._order_names = None
         self._object_names = None
         self._graph_gen, self._label_gen, self._object_gen = session._gens()

@@ -75,6 +75,7 @@ import threading
 import time
 from contextlib import suppress
 
+from repro.api.plan import PreparedQuery
 from repro.api.session import Session
 from repro.core.sorts import objvar
 from repro.engine import faults
@@ -97,7 +98,12 @@ from repro.server.protocol import (
     encode_frame,
     read_frame_async,
 )
-from repro.substrate.parser import parse_database, parse_query, scan_order_names
+from repro.substrate.parser import (
+    PARSE_MEMO_LIMIT,
+    parse_database,
+    parse_query,
+    scan_order_names,
+)
 
 #: The serving tier's logger (the ISSUE-specified operator surface).
 log = logging.getLogger("repro.server")
@@ -565,18 +571,19 @@ class ReproServer:
             # serve every run against the freshest applied state; the
             # min_seq gate below then decides per-op
             self._poll_follower()
-        pending: list[tuple[_Connection, dict, QueryRequest]] = []
+        # (connection, request frame, read, its validated plan)
+        pending: list[tuple] = []
         for conn, req in run:
             op = req.get("op")
             if op in ("execute", "answers"):
                 try:
-                    request = self._resolve_read(conn, req)
+                    request, plan = self._resolve_read(conn, req)
                 except Exception as exc:
                     self._flush_reads(pending)
                     pending = []
                     self._reply_error(conn, req, exc)
                 else:
-                    pending.append((conn, req, request))
+                    pending.append((conn, req, request, plan))
                 continue
             self._flush_reads(pending)
             pending = []
@@ -586,20 +593,21 @@ class ReproServer:
     def _flush_reads(self, pending) -> None:
         if not pending:
             return
-        requests = [request for _, _, request in pending]
+        requests = [request for _, _, request, _ in pending]
         try:
             if self._pool is not None and len(requests) > 1:
                 self._pool.resnapshot(self.session)
                 results = self._pool.execute_many(requests)
             else:
-                results = execute_many(self.session, requests)
+                plans = [plan for _, _, _, plan in pending]
+                results = execute_many(self.session, requests, plans=plans)
         except Exception:
             # batched execution failed somewhere mid-batch: replay the
             # span per-op so each request gets its own verdict or its
             # own error — exactly the sequential loop's behaviour
-            for conn, req, request in pending:
+            for conn, req, _, plan in pending:
                 try:
-                    result = request.prepare(self.session).execute()
+                    result = plan.execute()
                 except Exception as exc:
                     self._reply_error(conn, req, exc)
                 else:
@@ -608,7 +616,7 @@ class ReproServer:
         if len(requests) > 1:
             self.stats["read_batches"] += 1
             self.stats["batched_reads"] += len(requests)
-        for (conn, req, _), result in zip(pending, results):
+        for (conn, req, _, _), result in zip(pending, results):
             self._reply(conn, req, _result_payload(result))
 
     # -- op dispatch --------------------------------------------------------
@@ -659,7 +667,8 @@ class ReproServer:
         text = req.get("facts")
         if not isinstance(text, str):
             raise PayloadError(f"op {req['op']!r} needs a 'facts' string")
-        names = scan_order_names(text) | self.session.db.order_constants
+        known = self.session.db.vocabulary.order_constants
+        names = scan_order_names(text) | known
         fragment = parse_database(text, extra_order=names)
         mutation = Mutation(kind, tuple(fragment.atoms()))
         mutation.apply(self.session)
@@ -674,7 +683,9 @@ class ReproServer:
             isinstance(l, str) for l in lines
         ):
             raise PayloadError("op 'batch' needs a 'lines' list of strings")
-        names = _stream_order_names(lines, self.session.db.order_constants)
+        names = _stream_order_names(
+            lines, self.session.db.vocabulary.order_constants
+        )
         vocab = _stream_vocabulary(self.session.db, lines, names)
         ops = _parse_stream(lines, vocab, names)
         results = execute_stream(self.session, ops, pool=self._pool)
@@ -707,6 +718,7 @@ class ReproServer:
         return {"unwatched": state is not None}
 
     def _op_stats(self, conn: _Connection, req: dict) -> dict:
+        parses = len(self.session.db.vocabulary.parses)
         payload = {
             **self.stats,
             "open_connections": len(self._conns),
@@ -714,6 +726,12 @@ class ReproServer:
             "seq": self._seq,
             "pool_parallel": bool(self._pool is not None and self._pool.parallel),
             "role": "replica" if self._follower is not None else "primary",
+            # the current vocabulary's parse memo, as total/used/available
+            "parse_memo": {
+                "total": PARSE_MEMO_LIMIT,
+                "used": parses,
+                "available": PARSE_MEMO_LIMIT - parses,
+            },
         }
         if self._follower is not None:
             idle = time.monotonic() - self._primary_seen
@@ -784,7 +802,10 @@ class ReproServer:
             query, _SEMANTICS[semantics], method, free_vars=free_vars
         )
 
-    def _resolve_read(self, conn: _Connection, req: dict) -> QueryRequest:
+    def _resolve_read(
+        self, conn: _Connection, req: dict
+    ) -> tuple[QueryRequest, PreparedQuery]:
+        """The read a request names, with its validated plan."""
         if self._follower is not None:
             min_seq = req.get("min_seq") or 0
             if min_seq > self._follower.applied_seq:
@@ -804,8 +825,9 @@ class ReproServer:
             request = self._parse_read(req)
         # validate now: the batched path must raise (as an error reply)
         # exactly where a sequential per-op loop would
-        request.prepare(self.session).validate()
-        return request
+        plan = request.prepare(self.session)
+        plan.validate()
+        return request, plan
 
     # -- replies ------------------------------------------------------------
 

@@ -17,7 +17,18 @@ variables::
 Sort inference: a name on either side of ``<``, ``<=`` or ``!=`` is order-
 sorted; anything else defaults to object sort unless declared.  Inference
 runs over the whole text first, so ``P(t) & t < s`` types ``t`` correctly
-inside ``P(t)`` too.
+inside ``P(t)`` too.  A query variable is also order-sorted when it
+fills a predicate position that *every* fact of the database fills with
+an order constant (the database's :class:`~repro.core.database.Vocabulary`
+``arg_sorts`` table); a position the facts fill with both sorts infers
+nothing.  The result is a function of the database's atom *sets*, never
+of their iteration order, so it does not depend on the hash seed.
+
+Parsing a query against a database is memoized: :func:`parse_query`
+keeps up to :data:`PARSE_MEMO_LIMIT` texts per vocabulary (first in,
+first out) and returns the same immutable query object for a repeated
+text.  A write that changes the vocabulary gives the database a new
+vocabulary object and so an empty memo.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import re
 from typing import Iterable
 
 from repro.core.atoms import Atom, OrderAtom, ProperAtom, Rel
-from repro.core.database import IndefiniteDatabase
+from repro.core.database import IndefiniteDatabase, Vocabulary
 from repro.core.errors import ParseError
 from repro.core.query import ConjunctiveQuery, DisjunctiveQuery
 from repro.core.sorts import Sort, Term
@@ -37,6 +48,11 @@ _ORDER_RE = re.compile(rf"^({_NAME})\s*(<=|<|!=)\s*({_NAME})$")
 _DECL_RE = re.compile(r"^(order|object)\s*:\s*(.*)$")
 
 _REL_OF = {"<": Rel.LT, "<=": Rel.LE, "!=": Rel.NE}
+
+#: Query texts memoized per database vocabulary.
+PARSE_MEMO_LIMIT = 1024
+
+_ORDER_ONLY = frozenset({Sort.ORDER})
 
 
 def _statements(text: str) -> Iterable[str]:
@@ -115,13 +131,26 @@ def parse_query(text: str, database: IndefiniteDatabase | None = None) -> Disjun
 
     Names matching constants of ``database`` (when given) are parsed as
     constants of the corresponding sort; everything else is a variable.
+    With a database, the result is memoized on its vocabulary (see the
+    module docstring); texts that fail to parse are not memoized.
     """
-    db_objects = set(database.object_constants) if database else set()
-    db_orders = set(database.order_constants) if database else set()
-    signatures: dict[str, tuple[Sort, ...]] = {}
-    if database is not None:
-        for atom in database.proper_atoms:
-            signatures[atom.pred] = tuple(t.sort for t in atom.args)
+    if database is None:
+        return _parse_query(text, None)
+    vocab = database.vocabulary
+    memo = vocab.parses
+    query = memo.get(text)
+    if query is None:
+        query = _parse_query(text, vocab)
+        if len(memo) >= PARSE_MEMO_LIMIT:
+            del memo[next(iter(memo))]
+        memo[text] = query
+    return query
+
+
+def _parse_query(text: str, vocab: Vocabulary | None) -> DisjunctiveQuery:
+    db_objects = vocab.object_constants if vocab else frozenset()
+    db_orders = vocab.order_constants if vocab else frozenset()
+    arg_sorts = vocab.arg_sorts if vocab else {}
 
     disjunct_texts = [d.strip() for d in text.split("|")]
     if not any(disjunct_texts):
@@ -133,18 +162,17 @@ def parse_query(text: str, database: IndefiniteDatabase | None = None) -> Disjun
         if not stmts:
             raise ParseError(f"empty disjunct in query: {text!r}")
         # Two inference sources for variable sorts: order-atom occurrence,
-        # and position in a predicate whose signature the database fixes.
+        # and a predicate position the database's facts fill only with
+        # order constants.
         inferred_order = _infer_order_names(stmts)
         for stmt in stmts:
             m = _ATOM_RE.match(stmt)
             if not m:
                 continue
-            sig = signatures.get(m.group(1))
-            if sig is None:
-                continue
+            pred = m.group(1)
             args = [a.strip() for a in m.group(2).split(",") if a.strip()]
-            for name, sort in zip(args, sig):
-                if sort is Sort.ORDER:
+            for i, name in enumerate(args):
+                if arg_sorts.get((pred, i)) == _ORDER_ONLY:
                     inferred_order.add(name)
 
         def term(name: str) -> Term:

@@ -215,6 +215,98 @@ class TestOps:
 
 
 # ---------------------------------------------------------------------------
+# the parse memo: keyed on the database vocabulary, prepared once per read
+
+
+def _fresh_reply(db_text: str, query: str) -> str:
+    """The payload a brand-new server on ``db_text`` answers ``query`` with."""
+    thread = ServerThread(Session(parse_database(db_text)))
+    try:
+        host, port = thread.start()
+        with ReproClient(host, port) as client:
+            return _payload_of(client.call("execute", check=False, query=query))
+    finally:
+        thread.shutdown()
+
+
+class TestParseMemo:
+    def _memo_then_write(self, db_text, query, facts, final_db_text):
+        thread = ServerThread(Session(parse_database(db_text)))
+        try:
+            host, port = thread.start()
+            with ReproClient(host, port) as client:
+                before = client.execute(query)
+                client.assert_facts(facts)
+                after = client.execute(query)
+        finally:
+            thread.shutdown()
+        assert _payload_of(after) == _fresh_reply(final_db_text, query)
+        return before, after
+
+    def test_new_constant_reparses_a_memoized_text(self):
+        # 'lamp' is a variable until a fact names it, then a constant
+        before, after = self._memo_then_write(
+            "Off(p1, heater); p1 < p2",
+            "Off(t, lamp)",
+            "On(p3, lamp)",
+            "Off(p1, heater); p1 < p2; On(p3, lamp)",
+        )
+        assert before["entailed"] is True and after["entailed"] is False
+
+    def test_mixed_sort_position_reparses_a_memoized_text(self):
+        # 's' is order-sorted while Off's first position holds only
+        # order constants; once it holds an object too, 's' defaults to
+        # the object sort and can meet Tag(radio)
+        before, after = self._memo_then_write(
+            "Off(p1, fan); p1 < p2; Tag(radio)",
+            "Off(s, fan) & Tag(s)",
+            "Off(radio, fan)",
+            "Off(p1, fan); p1 < p2; Tag(radio); Off(radio, fan)",
+        )
+        assert before["entailed"] is False and after["entailed"] is True
+
+    def test_stats_reports_the_parse_memo(self, served):
+        from repro.substrate.parser import PARSE_MEMO_LIMIT
+
+        _, host, port = served
+        with ReproClient(host, port) as client:
+            empty = client.stats()["parse_memo"]
+            assert empty == {
+                "total": PARSE_MEMO_LIMIT,
+                "used": 0,
+                "available": PARSE_MEMO_LIMIT,
+            }
+            for text in (JOIN, JOIN, "On(s, heater)", "On("):
+                client.call("execute", check=False, query=text)
+            # two distinct texts parsed; the parse error is not kept
+            assert client.stats()["parse_memo"] == {
+                "total": PARSE_MEMO_LIMIT,
+                "used": 2,
+                "available": PARSE_MEMO_LIMIT - 2,
+            }
+            # a write that adds constants starts a new, empty memo
+            client.assert_facts("On(p9, radio)")
+            assert client.stats()["parse_memo"]["used"] == 0
+
+    def test_each_read_prepares_once(self, served, monkeypatch):
+        calls = []
+        prepare = Session.prepare
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            return prepare(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "prepare", counting)
+        _, host, port = served
+        texts = ["On(s, lamp)", "On(s, heater)", JOIN, "Off(t, lamp)"]
+        with ReproClient(host, port) as client:
+            rids = [client.send("execute", query=text) for text in texts]
+            for rid in rids:
+                client.wait(rid)
+        assert len(calls) == len(texts)
+
+
+# ---------------------------------------------------------------------------
 # the concurrent-client differential
 
 

@@ -973,7 +973,6 @@ def build_engine_benchmarks(quick: bool, seed: int):
     # -- persistent daemon pool: incremental resync vs a fresh pool per
     # -- batch (same multi-core / non-quick conditions as engine/pool) -----
     if not quick and (os.cpu_count() or 1) >= 2:
-        from repro.engine.batch import execute_stream
         from repro.engine.pool import DaemonPool
 
         rng = random.Random(seed + 37)
@@ -1017,39 +1016,6 @@ def build_engine_benchmarks(quick: bool, seed: int):
             1,
         )
 
-        # -- pipelined mixed streams: write-boundary epochs on the pool ----
-        # (gated >= 2x in --check on multi-core hosts: the stream is
-        # read-dominated, so sharding each epoch's plan groups across the
-        # workers while the main process applies the next epoch's writes
-        # must beat the in-process sequential loop; results are compared
-        # for exact — Result-level — equality)
-        rng = random.Random(seed + 41)
-        db, ops = random_request_stream(
-            rng,
-            width=4,
-            chain_length=5,
-            n_objects=10,
-            n_queries=12,
-            n_ops=60,
-            write_prob=0.12,
-        )
-        stream_workers = max(2, min(4, os.cpu_count() or 1))
-
-        def stream_sequential(db=db, ops=ops):
-            return execute_stream(Session(db), list(ops))
-
-        def stream_pipelined(db=db, ops=ops, workers=stream_workers):
-            return execute_stream(Session(db), list(ops), workers=workers)
-
-        yield (
-            "engine/stream_parallel",
-            {"ops": len(ops), "workers": stream_workers,
-             "write_prob": 0.12},
-            stream_sequential,
-            stream_pipelined,
-            1,
-        )
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -1066,8 +1032,8 @@ def main(argv=None) -> int:
         type=float,
         default=2.0,
         help="--check threshold on the reduced/, theorem53/, "
-             "models/bruteforce, session/certain_answers, engine/batch, "
-             "engine/stream_parallel and serve/throughput benches",
+             "models/bruteforce, session/certain_answers, engine/batch "
+             "and serve/throughput benches",
     )
     parser.add_argument(
         "--max-overhead",
@@ -1177,9 +1143,6 @@ def main(argv=None) -> int:
                     "models/bruteforce",
                     "session/certain_answers",
                     "engine/batch",
-                    # multi-core only: the row is skipped (never gated)
-                    # on 1-CPU hosts and in --quick, like engine/pool
-                    "engine/stream_parallel",
                     # multiplexed pipelined clients vs connect-per-request
                     "serve/throughput",
                     # reads over 3 server processes vs 1; skipped (never

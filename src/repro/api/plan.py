@@ -722,11 +722,11 @@ class PreparedQuery:
         and the single-disjunct methods pay only the object-part
         filtering :meth:`execute` performs anyway.
 
-        The point is *raise-point parity* for the pipelined stream
-        engine: calling this at submit time surfaces an invalid read
-        where the sequential loop would have raised it, instead of an
-        epoch later at collect.  Never raises when :meth:`execute`
-        would succeed.
+        The point is *raise-point parity* for the pooled stream
+        engine: calling this for each read before a run ships surfaces
+        the first invalid read in batch order, where the sequential loop
+        would have raised it, instead of whichever invalid read a worker
+        reports first.  Never raises when :meth:`execute` would succeed.
         """
         key = self.session._gens()
         if self._validated_key == key:

@@ -9,10 +9,8 @@ Commands:
   (``--free-vars x,y`` names the object variables; ``--json``);
 * ``batch DB STREAM``  — run a request-stream file (queries, ``answers``
   lines, ``assert:``/``retract:`` writes) through the batching engine
-  (:mod:`repro.engine.batch`); ``--workers N`` fans a write-free stream
-  out over a daemon worker pool, and pipelines a *mixed* stream over it
-  (epoch *N*'s reads execute on the workers while the next epoch's
-  writes apply);
+  (:mod:`repro.engine.batch`); ``--workers N`` fans each run of reads
+  out over a daemon worker pool resynced to the writes before it;
 * ``watch DB QUERY --free-vars ... STREAM`` — maintain a
   :class:`repro.engine.views.MaterializedView` of an open query across
   the writes in STREAM, reporting answer deltas after each step;
@@ -53,6 +51,18 @@ list — primary first, replicas after — routes through a
 replicas under read-your-writes gating with retry/backoff and
 failover, writes go to the primary.  ``--wal`` and ``--connect`` are
 mutually exclusive — durability lives with the server.
+
+Exit codes:
+
+* ``0`` — success (``query``: entailed; ``answers``: at least one
+  certain answer);
+* ``1`` — a negative verdict (``query``: not entailed; ``answers``: no
+  certain answers; ``models``: an inconsistent database;
+  ``bench-session``: a result mismatch);
+* ``2`` — an error: unparsable input, a ``--method`` that cannot decide
+  the query, an unreadable file, an unreachable server, reads in a
+  ``watch`` stream.  Errors print one ``error: <Type>: <message>`` line
+  to stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -66,6 +76,7 @@ import time
 from repro.analysis import classify
 from repro.api import Session, render_model
 from repro.core.database import IndefiniteDatabase
+from repro.core.errors import ReproError
 from repro.core.models import count_minimal_models, iter_minimal_models
 from repro.core.sorts import objvar
 from repro.server.protocol import (
@@ -449,18 +460,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     session, wal = _session_with_wal(db, args.wal)
     try:
         if args.workers > 1:
-            # a write-free stream is one batch over the pool; a mixed one
-            # pipelines write-boundary epochs over it (results identical
-            # to --workers 1 either way)
+            # each read run fans out over the pool (results identical to
+            # --workers 1); a degraded pool keeps the in-process labels
             with DaemonPool(session, workers=args.workers) as pool:
-                if all(isinstance(op, QueryRequest) for op in ops):
-                    results = pool.execute_many(ops)
-                    mode = (f"pool[{args.workers}]" if pool.parallel
-                            else "sequential")
+                results = execute_stream(session, ops, pool=pool)
+                if pool.parallel:
+                    mode = f"pool[{args.workers}]"
+                elif all(isinstance(op, QueryRequest) for op in ops):
+                    mode = "sequential"
                 else:
-                    results = execute_stream(session, ops, pool=pool)
-                    mode = (f"pipeline[{args.workers}]" if pool.parallel
-                            else "stream")
+                    mode = "stream"
         else:
             results = execute_stream(session, ops)
             mode = "stream"
@@ -755,9 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
     bt.add_argument("stream", help="file of queries / answers(..) / "
                                    "assert: / retract: lines")
     bt.add_argument("--workers", type=int, default=1,
-                    help="fan a write-free stream over N snapshot workers; "
-                         "on mixed streams, pipeline read epochs over N "
-                         "persistent daemon workers")
+                    help="fan each run of reads out over N persistent "
+                         "daemon workers")
     bt.add_argument("--json", action="store_true",
                     help="machine-readable JSON output")
     bt.add_argument("--wal", metavar="PATH", default=None,
@@ -875,9 +883,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point."""
+    """Entry point: the command's exit code, or 2 after an error."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, ValueError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,9 +8,8 @@ request *streams*:
   groups a batch of requests by compiled plan and pools the
   minimal-model sweeps; :func:`~repro.engine.batch.execute_stream`
   interleaves batched reads with writes in stream order, and with
-  ``workers=``/``pool=`` pipelines a mixed stream across write
-  boundaries: one epoch's reads execute on a daemon pool while the main
-  process applies the next epoch's writes.
+  ``pool=`` fans each run of reads out over a daemon pool resynced to
+  the writes before it.
 * :mod:`repro.engine.snapshot` — cheap read-only
   :class:`~repro.engine.snapshot.SessionSnapshot` copies (shared frozen
   database + warm closures) safe to ship to workers.

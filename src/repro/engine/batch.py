@@ -32,15 +32,14 @@ round — before the next read batch; if a coalesced call raises, the run
 is replayed one mutation at a time so the exception surfaces with
 exactly the prefix state a sequential loop would have left behind.
 
-Passing ``workers=N`` (or a live :class:`~repro.engine.pool.DaemonPool`
-via ``pool=``) turns on the **write-boundary epoch pipeline**: the
-stream splits into epochs at write boundaries, each boundary ships one
-incremental snapshot delta to the pool's persistent workers, and epoch
-*N*'s reads execute on the pool while the main process is already
-applying epoch *N+1*'s writes.  Sequential semantics are preserved by
-construction — every read runs against the exact snapshot a sequential
-loop would have shown it — and the merge is the same deterministic
-per-plan fan-out, so pipelined results equal sequential ones exactly.
+Passing a live :class:`~repro.engine.pool.DaemonPool` via ``pool=`` fans
+each read run out over the pool's persistent workers: the pool is
+resynced to the session by one incremental snapshot delta, then the run
+executes as one :meth:`~repro.engine.pool.DaemonPool.execute_many`
+round trip.  Every read still runs against exactly the state a
+sequential loop would have shown it, and the merge is the same
+deterministic per-plan fan-out, so pooled results equal sequential ones
+exactly.
 """
 
 from __future__ import annotations
@@ -331,7 +330,6 @@ def execute_stream(
     ops: Iterable[QueryRequest | Mutation],
     *,
     pool=None,
-    workers: int | None = None,
 ) -> list[Result | None]:
     """Run a mixed read/write stream with reads batched between writes.
 
@@ -349,17 +347,12 @@ def execute_stream(
     raised exception, are those of the sequential loop, minus the
     redundant intermediate invalidations).
 
-    **Pipelined mode** — pass ``workers=N`` (a private
-    :class:`~repro.engine.pool.DaemonPool` is created for the stream and
-    closed afterwards) or ``pool=`` (a live daemon pool, left resynced
-    to the final state): reads execute on the pool's persistent workers
-    one write-boundary epoch behind the main process's writes.  Results
-    are byte-for-byte those of the sequential mode; only the wall-clock
-    changes.  Reads are pre-validated at submit time
-    (:meth:`repro.api.plan.PreparedQuery.validate`), so an invalid read
-    raises before later epochs' writes are applied — both raising
-    reads and raising writes keep exact raise-point parity with the
-    sequential loop (same exception, same session state at the raise).
+    **Pooled mode** — pass ``pool=`` (a live
+    :class:`~repro.engine.pool.DaemonPool` over ``session``): while the
+    pool is parallel, each read run is resynced to it and executed on
+    its workers.  Results are byte-for-byte those of the in-process
+    mode; only the wall-clock changes.  The caller's pool is left
+    resynced to the stream's final state.
     """
     ops = list(ops)
     for op in ops:
@@ -367,99 +360,29 @@ def execute_stream(
             raise TypeError(
                 f"stream op must be QueryRequest or Mutation: {op!r}"
             )
-    if pool is not None or (workers is not None and workers > 1):
-        return _execute_stream_pipelined(session, ops, pool, workers)
-    return _execute_stream_sequential(session, ops)
-
-
-def _execute_stream_sequential(
-    session: Session, ops: list
-) -> list[Result | None]:
-    """The in-process epoch loop: apply a write run, batch a read run."""
     out: list[Result | None] = [None] * len(ops)
-    for writes, read_indices in _epochs(ops):
-        if writes:
-            _apply_writes(session, writes)
-        if read_indices:
-            batch = [ops[i] for i in read_indices]
-            for i, result in zip(read_indices, execute_many(session, batch)):
-                out[i] = result
-    return out
-
-
-def _execute_stream_pipelined(
-    session: Session, ops: list, pool, workers: int | None
-) -> list[Result | None]:
-    """Write-boundary epoch pipelining over a persistent daemon pool.
-
-    Each epoch boundary costs one snapshot plus one incremental resync
-    delta (:meth:`repro.api.session.Session.snapshot_delta`) shipped to
-    every worker; submissions and resyncs ride the same per-worker
-    message stream, so neither blocks the main process.  Epoch *N*'s
-    reads therefore execute on the pool while the main process applies
-    epoch *N+1*'s writes; the in-flight results are collected just
-    before the next submission.  Sequential semantics hold by
-    construction — each read runs against exactly the snapshot a
-    sequential loop would have shown it — and the merge is
-    :func:`execute_many`'s deterministic per-plan fan-out.
-    """
-    from repro.engine.pool import DaemonPool
-
-    out: list[Result | None] = [None] * len(ops)
-    own_pool = pool is None
-    if own_pool:
-        pool = DaemonPool(session, workers=workers)
-    if not pool.parallel:
-        # No real workers (degraded sandbox, workers=1): the pipeline
-        # would only add per-epoch snapshot and copy-on-write churn
-        # with zero overlap — run the plain sequential loop instead,
-        # keeping an external pool's end-of-stream sync contract.
-        try:
-            return _execute_stream_sequential(session, ops)
-        finally:
-            if own_pool:
-                pool.close()
-            else:
-                pool.resnapshot(session)
-    inflight: tuple[list[int], object] | None = None
-
-    def collect_inflight() -> None:
-        nonlocal inflight
-        if inflight is None:
-            return
-        indices, pending = inflight
-        inflight = None
-        for i, result in zip(indices, pool.collect(pending)):
-            out[i] = result
-
     try:
         for writes, read_indices in _epochs(ops):
             if writes:
                 _apply_writes(session, writes)
-            if read_indices:
-                collect_inflight()
-                # Pre-validate in batch order *before* shipping the
-                # epoch: a raising read must surface here — where the
-                # sequential loop would raise it, with the same session
-                # state — not an epoch later at the collection point.
-                for i in read_indices:
-                    ops[i].prepare(session).validate()
+            if not read_indices:
+                continue
+            run = [ops[i] for i in read_indices]
+            if pool is not None and pool.parallel:
+                # Validate in batch order before shipping: workers
+                # report errors in worker order, so the first invalid
+                # read must raise here, as the in-process loop would.
+                for request in run:
+                    request.prepare(session).validate()
                 pool.resnapshot(session)
-                pending = pool.submit([ops[i] for i in read_indices])
-                inflight = (read_indices, pending)
-        collect_inflight()
-        if not own_pool:
-            # a trailing write epoch has no read batch to trigger a
-            # resync; sync here so the caller's pool really is left at
-            # the stream's final state, as documented
-            pool.resnapshot(session)
+                results = pool.execute_many(run)
+            else:
+                results = execute_many(session, run)
+            for i, result in zip(read_indices, results):
+                out[i] = result
     finally:
-        if own_pool:
-            pool.close()
-        elif inflight is not None:
-            # an exception abandoned the stream mid-flight: drain the
-            # outstanding replies so the caller's pool stays usable
-            pool.abandon(inflight[1])
+        if pool is not None:
+            pool.resnapshot(session)
     return out
 
 

@@ -16,8 +16,8 @@ The sites (each hooked where the comment says):
 ``pool.worker.crash``     a :class:`~repro.engine.pool.DaemonPool` worker
                           ``os._exit``\\ s mid-batch, before replying
 ``pool.worker.hang``      the worker sleeps ``seconds`` (default 60) before
-                          executing — long enough to trip the collect
-                          timeout
+                          executing — long enough to trip the leader's
+                          reply timeout
 ``pool.worker.delay``     the worker sleeps ``seconds`` (default 0.05) and
                           then replies normally (slow, not dead)
 ``pool.resync.drop``      :meth:`DaemonPool.resnapshot` "loses" the resync

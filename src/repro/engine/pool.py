@@ -8,10 +8,9 @@ plan groups.  :class:`DaemonPool` keeps those workers alive across
 batches: each holds a private session resynced to newer state by
 *incremental snapshot deltas*
 (:meth:`~repro.api.session.Session.snapshot_delta` — only the changed
-atoms and the bumped generation counters travel), and a split
-``submit``/``collect`` round trip lets the write-boundary stream
-pipeline (``execute_stream(..., pool=...)``) overlap worker execution
-with the main process's writes.  A one-off batch is just
+atoms and the bumped generation counters travel), so a mixed stream
+(``execute_stream(..., pool=...)``) fans each read run out over the same
+warm workers.  A one-off batch is just
 ``DaemonPool(session).execute_many(requests)`` inside a ``with`` block.
 
 When no process pool can be created (restricted sandboxes, 1-CPU hosts)
@@ -303,31 +302,6 @@ def _daemon_main(payload, conn) -> None:
         _close_quietly(conn)
 
 
-class _PendingBatch:
-    """An in-flight daemon-pool batch; ``DaemonPool.collect`` resolves it.
-
-    Holds the request fan-out bookkeeping, the worker ids a reply is
-    owed by, and the snapshot the batch was submitted under (immutable,
-    so a worker failure can transparently re-execute against it).
-    """
-
-    __slots__ = ("owners", "n_requests", "unique", "snapshot", "workers",
-                 "by_key", "shards", "gens")
-
-    def __init__(self, owners, n_requests, unique, snapshot) -> None:
-        self.owners = owners
-        self.n_requests = n_requests
-        self.unique = unique
-        self.snapshot = snapshot
-        self.workers: tuple[int, ...] = ()
-        self.by_key: dict[int, Result] | None = None
-        #: worker id -> the (key_index, request) shard it was sent, so a
-        #: stale or silent worker's share can re-execute in-process
-        self.shards: dict[int, list] = {}
-        #: the generation triple the batch was pinned to at submit time
-        self.gens: tuple[int, int, int] = (0, 0, 0)
-
-
 class DaemonPool:
     """A persistent pool of daemon workers surviving across batches.
 
@@ -341,18 +315,14 @@ class DaemonPool:
 
     Unique plan keys are assigned to workers by stable hash, so a
     repeated query keeps landing on the worker whose plan cache already
-    holds it.  :meth:`submit` / :meth:`collect` split the round trip —
-    submission (and resync) only *write* to the per-worker message
-    streams, so the caller can keep working while the workers execute;
-    that is the overlap the write-boundary stream pipeline
-    (:func:`repro.engine.batch.execute_stream` with ``pool=``/
-    ``workers=``) is built on.  :meth:`execute_many` is the synchronous
-    convenience.
+    holds it.  :meth:`execute_many` is one synchronous round trip: ship
+    the shards, then wait for every reply, so at most one batch is ever
+    on the bounded per-worker pipes.
 
     Restricted sandboxes (and ``workers=1``) degrade to in-process
     sequential execution over the same snapshot; a worker failing
-    mid-flight degrades the pool the same way and re-executes the
-    affected batch against the snapshot it was submitted under, so
+    mid-batch degrades the pool the same way and re-executes the
+    affected batch against the snapshot it was sent under, so
     callers always get their results.  Must be resynced from the session
     it was constructed over.  Usable as a context manager.
     """
@@ -377,8 +347,6 @@ class DaemonPool:
         self._snapshot = session.snapshot()
         self._conns: list = []
         self._procs: list = []
-        #: the single parallel batch allowed in flight (see submit)
-        self._inflight: _PendingBatch | None = None
         #: GC/interpreter-exit guard: stops the daemons when a pool is
         #: dropped without close() (or a caller raises past it), so no
         #: worker process can outlive its leader as an orphan.
@@ -473,7 +441,6 @@ class DaemonPool:
         """
         conns, procs = self._conns, self._procs
         self._conns, self._procs = [], []
-        self._inflight = None  # its replies died with the connections
         for conn in conns:
             _close_quietly(conn)
         for proc in procs:
@@ -513,20 +480,8 @@ class DaemonPool:
         sync; otherwise one snapshot plus one
         :class:`~repro.api.session.SnapshotDelta` message per worker,
         with no reply awaited — per-connection ordering guarantees the
-        next submitted batch sees the synced state.
-
-        Like :meth:`submit`, this writes to the bounded per-worker
-        pipes, so it must not run while a parallel batch is in flight
-        (a busy worker could be blocked sending its reply at the same
-        time — both pipe directions full is a deadlock): ``collect()``
-        or ``abandon()`` the batch first, or this raises
-        ``RuntimeError``.
+        next batch sees the synced state.
         """
-        if self._inflight is not None and self._inflight.workers:
-            raise RuntimeError(
-                "a daemon-pool batch is in flight; collect() or abandon() "
-                "it before resnapshot()"
-            )
         delta = session.snapshot_delta(self._snapshot)
         if delta is None:
             return
@@ -551,61 +506,11 @@ class DaemonPool:
         results = execute_many(snapshot, [r for _, r in unique])
         return {ki: result for (ki, _), result in zip(unique, results)}
 
-    def submit(self, requests: Iterable[QueryRequest]) -> _PendingBatch:
-        """Ship a batch to the workers; returns a handle for :meth:`collect`.
-
-        With live workers this only *writes* the shard messages and
-        returns immediately — the caller can keep applying writes to the
-        live session (the submitted batch is pinned to the current
-        snapshot) while the workers execute.
-
-        At most ONE parallel batch may be in flight: :meth:`collect` (or
-        :meth:`abandon`) the previous one first, or this raises
-        ``RuntimeError``.  The per-worker pipes are bounded OS buffers;
-        queueing a second batch behind uncollected replies could block
-        both sides of a pipe at once and deadlock.
-        """
-        requests = list(requests)
-        if self._inflight is not None and self._inflight.workers:
-            raise RuntimeError(
-                "a daemon-pool batch is already in flight; collect() or "
-                "abandon() it before submitting another"
-            )
-        unique, owners = _unique_groups(requests)
-        pending = _PendingBatch(
-            owners, len(requests), unique, self._snapshot
-        )
-        if not self._conns or not unique:
-            pending.by_key = self._execute_local(unique, pending.snapshot)
-            return pending
-        # Stable-hash worker affinity: the same plan key lands on the
-        # same worker for the life of the pool, so its compiled plan and
-        # result memos stay hot across batches and epochs.
-        n = len(self._conns)
-        shards: dict[int, list] = {}
-        for ki, request in unique:
-            shards.setdefault(hash(request.plan_key) % n, []).append(
-                (ki, request)
-            )
-        gens = self._snapshot._gens()
-        try:
-            for w in sorted(shards):
-                self._conns[w].send(("run", shards[w], gens))
-        except (OSError, BrokenPipeError, EOFError):
-            self._degrade("submit-send-failed")
-            pending.by_key = self._execute_local(unique, pending.snapshot)
-            return pending
-        pending.workers = tuple(sorted(shards))
-        pending.shards = shards
-        pending.gens = gens
-        self._inflight = pending
-        return pending
-
     def _recv_reply(self, w: int):
         """One worker's reply, bounded by timeout + retries w/ backoff.
 
-        A hung (or wedged, or merely very slow) worker used to block
-        ``collect`` forever; now each wait is bounded.  Every timed-out
+        Each wait is bounded, so a hung (or wedged, or merely very slow)
+        worker cannot block ``execute_many`` forever.  Every timed-out
         wait is retried with a doubled window — a slow worker usually
         answers on a retry, and the stretched total gives the benefit of
         the doubt before the pool declares it dead — then
@@ -629,17 +534,21 @@ class DaemonPool:
             wait *= 2
         raise _ReplyTimeout(w, waited)
 
-    def collect(self, pending: _PendingBatch) -> list[Result]:
-        """Wait for a submitted batch; results in request order.
+    def execute_many(
+        self, requests: Iterable[QueryRequest]
+    ) -> list[Result]:
+        """Batched execution on the workers; results in request order.
 
-        The merge is deterministic (per-key results fanned out in
-        request order).  Failure handling, all of it yielding results
-        identical to the sequential path:
+        Unique plan groups are sharded across the workers, executed
+        against the pool's current snapshot and merged deterministically
+        (per-key results fanned out in request order).  Failure
+        handling, all of it yielding results identical to the
+        sequential path:
 
         * a worker that died mid-batch, or stayed silent past the reply
           timeout + retries, degrades the pool and the whole batch
           transparently re-executes in-process against the snapshot it
-          was submitted under;
+          was sent under;
         * a worker that replies ``stale`` (it lost a resync delta) has
           its shard re-executed in-process and is then healed with a
           full state reset — the pool stays parallel;
@@ -647,56 +556,60 @@ class DaemonPool:
           it re-raised here, after all of the batch's replies have been
           drained.
         """
-        if pending.by_key is None:
-            workers, pending.workers = pending.workers, ()
-            if self._inflight is pending:
-                self._inflight = None
-            by_key: dict[int, Result] = {}
-            error: Exception | None = None
-            stale: list[int] = []
-            try:
-                for w in workers:
-                    tag, payload = self._recv_reply(w)
-                    if tag == "ok":
-                        for ki, result in payload:
-                            by_key[ki] = result
-                    elif tag == "stale":
-                        stale.append(w)
-                        log.warning(
-                            "daemon worker %d stale at gens %r "
-                            "(batch at %r); re-executing its shard "
-                            "in-process and healing the worker",
-                            w, payload, pending.gens,
-                        )
-                    elif error is None:
-                        error = payload
-            except _ReplyTimeout as exc:
+        requests = list(requests)
+        unique, owners = _unique_groups(requests)
+        snapshot = self._snapshot
+        if not self._conns or not unique:
+            by_key = self._execute_local(unique, snapshot)
+            return _fan_out(owners, by_key, len(requests))
+        # Stable-hash worker affinity: the same plan key lands on the
+        # same worker for the life of the pool, so its compiled plan and
+        # result memos stay hot across batches.
+        n = len(self._conns)
+        shards: dict[int, list] = {}
+        for ki, request in unique:
+            shards.setdefault(hash(request.plan_key) % n, []).append(
+                (ki, request)
+            )
+        gens = snapshot._gens()
+        workers = sorted(shards)
+        by_key: dict[int, Result] = {}
+        error: Exception | None = None
+        stale: list[int] = []
+        try:
+            for w in workers:
+                self._conns[w].send(("run", shards[w], gens))
+            for w in workers:
+                tag, payload = self._recv_reply(w)
+                if tag == "ok":
+                    for ki, result in payload:
+                        by_key[ki] = result
+                elif tag == "stale":
+                    stale.append(w)
+                    log.warning(
+                        "daemon worker %d stale at gens %r (batch at %r); "
+                        "re-executing its shard in-process and healing "
+                        "the worker", w, payload, gens,
+                    )
+                elif error is None:
+                    error = payload
+        except (_ReplyTimeout, OSError, EOFError, IndexError) as exc:
+            if isinstance(exc, _ReplyTimeout):
                 self._degrade(
                     "reply-timeout", worker=exc.worker,
                     waited=f"{exc.waited:.3g}s",
                 )
-                by_key = self._execute_local(
-                    pending.unique, pending.snapshot
-                )
-                error = None
-                stale = []
-            except (OSError, EOFError, IndexError) as exc:
+            else:
                 self._degrade("worker-dead", error=type(exc).__name__)
-                by_key = self._execute_local(
-                    pending.unique, pending.snapshot
-                )
-                error = None
-                stale = []
-            for w in stale:
-                by_key.update(
-                    self._execute_local(pending.shards[w], pending.snapshot)
-                )
-            if stale:
-                self._heal(stale)
-            if error is not None:
-                raise error
-            pending.by_key = by_key
-        return _fan_out(pending.owners, pending.by_key, pending.n_requests)
+            by_key = self._execute_local(unique, snapshot)
+            return _fan_out(owners, by_key, len(requests))
+        for w in stale:
+            by_key.update(self._execute_local(shards[w], snapshot))
+        if stale:
+            self._heal(stale)
+        if error is not None:
+            raise error
+        return _fan_out(owners, by_key, len(requests))
 
     def _heal(self, workers: list[int]) -> None:
         """Reset desynced workers to the pool's current state."""
@@ -709,42 +622,6 @@ class DaemonPool:
         except (OSError, BrokenPipeError, EOFError):
             self._degrade("heal-send-failed")
 
-    def abandon(self, pending: _PendingBatch) -> None:
-        """Drain an in-flight batch without returning results.
-
-        Used when an exception abandons a pipelined stream mid-flight:
-        the outstanding replies are consumed (and discarded) so the
-        pool's message streams stay consistent for the next caller.
-        A stale reply still heals the worker; a dead or silent worker
-        still degrades the pool.
-        """
-        workers, pending.workers = pending.workers, ()
-        if self._inflight is pending:
-            self._inflight = None
-        stale: list[int] = []
-        try:
-            for w in workers:
-                tag, payload = self._recv_reply(w)
-                if tag == "stale":
-                    stale.append(w)
-        except _ReplyTimeout as exc:
-            self._degrade(
-                "abandon-reply-timeout", worker=exc.worker,
-                waited=f"{exc.waited:.3g}s",
-            )
-            return
-        except (OSError, EOFError, IndexError) as exc:
-            self._degrade("abandon-worker-dead", error=type(exc).__name__)
-            return
-        if stale:
-            self._heal(stale)
-
-    def execute_many(
-        self, requests: Iterable[QueryRequest]
-    ) -> list[Result]:
-        """Synchronous batched execution: submit, collect, fan out."""
-        return self.collect(self.submit(requests))
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -753,20 +630,7 @@ class DaemonPool:
         Runs the same cleanup the ``weakref.finalize`` guard would at
         GC/interpreter exit; either path empties the shared lists, so
         whichever runs second is a no-op.
-
-        A batch still in flight (a server shutting down mid-epoch) is
-        drained first — its replies are consumed and discarded — so a
-        healthy pool closes without tripping the structured-degrade
-        logging meant for *failed* workers.
         """
-        if self._inflight is not None and self._inflight.workers:
-            try:
-                self.abandon(self._inflight)
-            except Exception:  # shutdown proceeds regardless
-                log.debug(
-                    "in-flight batch drain failed during close",
-                    exc_info=True,
-                )
         conns, procs = self._conns, self._procs
         self._conns, self._procs = [], []
         DaemonPool._cleanup(conns, procs)

@@ -174,6 +174,17 @@ Boot(a) & a < b & Reset(b)
             True, False, True,
         ]
 
+    def test_batch_pool_mixed_stream(self, db_file, stream_file, capsys):
+        # a pooled mixed stream reports exactly the in-process results
+        assert main(["batch", db_file, stream_file, "--json"]) == 0
+        local = json.loads(capsys.readouterr().out)
+        code = main(["batch", db_file, stream_file, "--workers", "2",
+                     "--json"])
+        pooled = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert pooled["mode"] in ("pool[2]", "stream")
+        assert pooled["ops"] == local["ops"]
+
     def test_stream_introduced_constants_parse_as_constants(self, db_file,
                                                             tmp_path, capsys):
         # 'u9' exists only through a stream write; the query line naming
@@ -333,6 +344,26 @@ class TestBenchSessionCommand:
         )
         out = capsys.readouterr().out
         assert code == 0 and "results:   match" in out
+
+
+class TestErrorExitCode:
+    """Errors exit 2 with one stderr line, apart from the verdict codes."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (["query", "{db}", "Boot(a) & ((("], "ParseError"),
+        # 'paths' decides a single conjunctive query, not a disjunction
+        (["query", "{db}", "Boot(a) | Crash(b)", "--method", "paths"],
+         "ValueError"),
+        (["query", "{missing}", "Boot(a)"], "FileNotFoundError"),
+    ])
+    def test_error_exits_2(self, db_file, tmp_path, capsys, argv, error):
+        missing = str(tmp_path / "missing.txt")
+        argv = [a.format(db=db_file, missing=missing) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestOtherCommands:

@@ -1,5 +1,5 @@
-"""Differential tests for the persistent daemon pool and the pipelined
-(write-boundary epoch) ``execute_stream`` mode.
+"""Differential tests for the persistent daemon pool and the pooled
+``execute_stream`` mode.
 
 The load-bearing properties:
 
@@ -7,12 +7,12 @@ The load-bearing properties:
   countermodel, answers — those of sequential ``execute_many``, across
   incremental resyncs after *every* mutation class (object / label /
   graph generation);
-* pipelined ``execute_stream`` equals sequential ``execute_stream``
+* pooled ``execute_stream`` equals sequential ``execute_stream``
   equals a one-op-at-a-time replay on randomized mixed streams,
   including streams that raise mid-way: the exception and the session
   state at the raise match the sequential one-at-a-time loop exactly
   (the coalesced-write fallback);
-* snapshots stay frozen while concurrent epochs execute against them;
+* snapshots stay frozen while pooled streams execute against them;
 * restricted environments (``RuntimeError`` during pool bootstrap)
   degrade to sequential execution without leaking processes, and the
   worker cap is configurable via ``REPRO_POOL_MAX_WORKERS``.
@@ -195,41 +195,6 @@ class TestDaemonPool:
             pool.resnapshot(session)
             assert pool.snapshot is not snap
 
-    def test_submit_collect_pins_submission_state(self):
-        # a submitted batch answers from its submission-time snapshot
-        # even when the live session mutates before collect()
-        session = Session(IndefiniteDatabase.of(P(u), Q(v), lt(u, v)))
-        q = ConjunctiveQuery.of(P(t1), Q(t2), lt(t1, t2))
-        with DaemonPool(session, workers=2) as pool:
-            pending = pool.submit([QueryRequest(q)])
-            session.retract_order(lt(u, v))
-            assert pool.collect(pending)[0].holds
-            pool.resnapshot(session)
-            assert not pool.execute_many([QueryRequest(q)])[0].holds
-
-    def test_single_batch_in_flight_enforced(self):
-        # per-worker pipes are bounded: a second uncollected batch could
-        # deadlock both pipe directions, so submit() refuses it loudly
-        session = Session(IndefiniteDatabase.of(P(u), Q(v), lt(u, v)))
-        request = QueryRequest(ConjunctiveQuery.of(P(t1)))
-        with DaemonPool(session, workers=2) as pool:
-            if not pool.parallel:
-                pytest.skip("no process pool in this environment")
-            pending = pool.submit([request])
-            with pytest.raises(RuntimeError):
-                pool.submit([request])
-            with pytest.raises(RuntimeError):
-                # resnapshot writes on the same bounded pipes
-                session.assert_facts(ProperAtom("Tag", (obj("t0"),)))
-                pool.resnapshot(session)
-            assert pool.collect(pending)[0].holds
-            pool.resnapshot(session)  # fine once collected
-            # collect released the slot ...
-            assert pool.execute_many([request])[0].holds
-            # ... and abandon() releases it too
-            pool.abandon(pool.submit([request]))
-            assert pool.execute_many([request])[0].holds
-
     def test_external_pool_synced_after_trailing_writes(self):
         # a stream ending in writes leaves the caller's pool resynced to
         # the final state, exactly as execute_stream documents
@@ -275,7 +240,8 @@ class TestPipelinedStream:
             )
             sequential = execute_stream(Session(db), list(ops))
             session = Session(db)
-            pipelined = execute_stream(session, list(ops), workers=2)
+            with DaemonPool(session, workers=2) as pool:
+                pipelined = execute_stream(session, list(ops), pool=pool)
             # byte-for-byte result parity with the sequential mode ...
             assert pipelined == sequential, f"round={round_}"
             # ... and observable parity with a one-op-at-a-time replay
@@ -323,7 +289,8 @@ class TestPipelinedStream:
             )),
             QueryRequest(query, free_vars=free),
         ]
-        execute_stream(session, ops, workers=2)
+        with DaemonPool(session, workers=2) as pool:
+            execute_stream(session, ops, pool=pool)
         assert frozenset(snap.certain_answers(query, free)) == frozen
         assert frozenset(
             session.certain_answers(query, free)
@@ -351,9 +318,10 @@ class TestPipelinedStream:
             lambda: execute_stream(seq_session, list(ops))
         )
         piped_session = Session(base)
-        got_piped = outcome_of(
-            lambda: execute_stream(piped_session, list(ops), workers=2)
-        )
+        with DaemonPool(piped_session, workers=2) as pool:
+            got_piped = outcome_of(
+                lambda: execute_stream(piped_session, list(ops), pool=pool)
+            )
         assert got_seq[:2] == want[:2] and got_piped[:2] == want[:2]
         # the valid prefix (Tag(zz)) landed; the clash and its suffix did not
         assert seq_session.db == oracle.db
@@ -392,11 +360,12 @@ class TestPipelinedStream:
                 lambda s=seq_session: execute_stream(s, list(ops))
             )
             piped_session = Session(db)
-            got_piped = outcome_of(
-                lambda s=piped_session: execute_stream(
-                    s, list(ops), workers=2
+            with DaemonPool(piped_session, workers=2) as pool:
+                got_piped = outcome_of(
+                    lambda s=piped_session: execute_stream(
+                        s, list(ops), pool=pool
+                    )
                 )
-            )
             assert got_seq[:2] == want[:2], f"round={round_}"
             assert got_piped[:2] == want[:2], f"round={round_}"
             assert seq_session.db == oracle.db, f"round={round_}"
@@ -448,7 +417,7 @@ class TestPoolHardening:
         with DaemonPool(session, workers=2) as pool:
             assert not pool.parallel
             got = pool.execute_many(requests)
-            # pipelined streams keep working on the degraded pool too
+            # pooled streams keep working on the degraded pool too
             streamed = execute_stream(
                 session,
                 [requests[0], Mutation("assert_facts", (P(ordc("w2")),)),
@@ -482,21 +451,3 @@ class TestCleanShutdown:
         with caplog.at_level(logging.WARNING, logger="repro.engine.pool"):
             pool.close()
         assert caplog.records == []
-
-    def test_close_with_inflight_batch_logs_nothing(self, caplog):
-        import logging
-
-        # the shutdown race this guards: workers mid-reply when close()
-        # tears the pool down must exit cleanly (replies drained before
-        # the pipes close), not surface as structured-degrade warnings
-        for _ in range(5):
-            _, pool = self._pool()
-            if not pool.parallel:  # pragma: no cover - restricted env
-                pool.close()
-                return
-            requests = [QueryRequest(ConjunctiveQuery.of(P(t1)))] * 8
-            pool.submit(requests)
-            with caplog.at_level(logging.WARNING, logger="repro.engine.pool"):
-                pool.close()
-            assert caplog.records == []
-            assert not pool.parallel

@@ -6,8 +6,8 @@ suite: whatever the failure — a worker crashing mid-batch, hanging past
 the reply timeout, replying late, losing a resync delta — the pool's
 results must be byte-for-byte those of sequential ``execute_many``.
 Plus the rule/spec machinery itself, the reply-timeout env knobs, the
-pool's finalize guard, and the submit-time read validation that keeps
-pipelined streams at exact raise-point parity.
+pool's finalize guard, and the read validation that keeps pooled
+streams at exact raise-point parity.
 """
 
 from __future__ import annotations
@@ -339,7 +339,7 @@ class TestSubmitTimeValidation:
                 assert checked[0] == "ok"
 
     def test_pipelined_bad_read_raise_point_parity(self):
-        # a raising read must leave the pipelined stream's session in
+        # a raising read must leave the pooled stream's session in
         # the exact state the sequential loop leaves it: writes before
         # the bad read applied, writes after it not
         db, _requests = _db_requests()
@@ -353,9 +353,10 @@ class TestSubmitTimeValidation:
         want = outcome_of(lambda: execute_stream(seq_session, list(ops)))
         assert want[0] == "raise" and want[1] is ValueError
         piped_session = Session(db)
-        got = outcome_of(
-            lambda: execute_stream(piped_session, list(ops), workers=2)
-        )
+        with DaemonPool(piped_session, workers=2) as pool:
+            got = outcome_of(
+                lambda: execute_stream(piped_session, list(ops), pool=pool)
+            )
         assert got[:2] == want[:2] and got[2] == want[2]
         assert piped_session.db == seq_session.db
         assert ProperAtom("Tag", (obj("aa"),)) in seq_session.db.proper_atoms
@@ -399,6 +400,17 @@ class TestEnvDifferential:
             pool.resnapshot(session)
             got = pool.execute_many(requests)
             assert got == execute_many(Session(session.db), requests)
+            # a mixed stream resyncs the pool at every write boundary,
+            # so resync faults also land between its read runs
+            ops = [
+                *requests,
+                Mutation("assert_facts", (ProperAtom("Tag", (obj("s1"),)),)),
+                *requests,
+                Mutation("retract_order", (lt(u, v),)),
+                *requests,
+            ]
+            want = execute_stream(Session(session.db), list(ops))
+            assert execute_stream(session, list(ops), pool=pool) == want
 
     def test_wal_differential_under_env_faults(self, tmp_path):
         import random

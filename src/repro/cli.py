@@ -25,44 +25,45 @@ Commands:
   ``applied_seq`` consistency tokens, primary-death detection);
 * ``models DB``        — count (or ``--list``) the minimal models;
 * ``classify DB QUERY``— the Tables 1-2 complexity profile;
-* ``width DB``         — the database's width and a maximum antichain;
-* ``bench-session DB QUERY`` — time the prepared-plan path of a
-  :class:`repro.api.Session` against the one-shot API on a
-  repeated-query workload.
+* ``width DB``         — the database's width and a maximum antichain.
 
 ``DB`` is a path to a database file in the text DSL
 (:mod:`repro.substrate.parser`); ``QUERY`` is a query string or a path to
-a file containing one.  Every query-answering command runs through a
-:class:`repro.api.Session`, so multi-query invocations share warm caches.
+a file containing one.
 
-``query``, ``answers``, ``batch`` and ``watch`` accept ``--wal PATH`` to
-run against a *durable* session: if a write-ahead log already exists at
-PATH the session state is recovered from it (DB then only supplies parse
-vocabulary); otherwise DB seeds a fresh log.  Mutations applied by the
-command are appended to the log, so a later invocation — or ``recover``
-— picks up exactly where this one stopped.
-
-The same four commands accept ``--connect HOST:PORT`` to run against a
-live ``repro serve`` instance instead of a local session: the query or
-stream is shipped over the wire, the server's shared session answers,
-and DB is ignored (pass ``-``).  A comma-separated ``--connect``
-list — primary first, replicas after — routes through a
+``query``, ``answers``, ``batch`` and ``watch`` are clients of the
+serving tier's op handlers (:mod:`repro.server`).  Locally they call a
+:class:`repro.server.ReproServer` over DB in process
+(:meth:`~repro.server.ReproServer.connect_local`); with ``--connect
+HOST:PORT`` the same ops go over the wire to a live ``repro serve``
+instance, whose shared session answers, and DB is ignored (pass ``-``).
+The two differ only in transport: the same payloads, the same
+countermodels (``--countermodel`` works over ``--connect`` too), the
+same error lines.  A comma-separated ``--connect`` list — primary first,
+replicas after — routes through a
 :class:`repro.server.client.ReplicaRouter` instead: reads go to
-replicas under read-your-writes gating with retry/backoff and
-failover, writes go to the primary.  ``--wal`` and ``--connect`` are
-mutually exclusive — durability lives with the server.
+replicas under read-your-writes gating with retry/backoff and failover,
+writes go to the primary.
+
+The four commands accept ``--wal PATH`` to run against a *durable*
+session, as ``serve --wal`` does: if a write-ahead log already exists at
+PATH the session is recovered from it and the log wins — DB is not
+read; otherwise DB seeds a fresh log.  Every acknowledged write op is
+appended to the log, followed by one ``seq`` mark, so a later invocation
+— or ``recover`` — picks up exactly where this one stopped.  ``--wal``
+and ``--connect`` are mutually exclusive — durability lives with the
+server.
 
 Exit codes:
 
 * ``0`` — success (``query``: entailed; ``answers``: at least one
   certain answer);
 * ``1`` — a negative verdict (``query``: not entailed; ``answers``: no
-  certain answers; ``models``: an inconsistent database;
-  ``bench-session``: a result mismatch);
+  certain answers; ``models``: an inconsistent database);
 * ``2`` — an error: unparsable input, a ``--method`` that cannot decide
   the query, an unreadable file, an unreachable server, reads in a
-  ``watch`` stream.  Errors print one ``error: <Type>: <message>`` line
-  to stderr instead of a traceback.
+  ``watch`` stream, a misused flag.  Errors print one
+  ``error: <Type>: <message>`` line to stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -78,23 +79,17 @@ from repro.api import Session, render_model
 from repro.core.database import IndefiniteDatabase
 from repro.core.errors import ReproError
 from repro.core.models import count_minimal_models, iter_minimal_models
-from repro.core.sorts import objvar
+from repro.server.client import ServerReplyError
 from repro.server.protocol import (
     _METHODS,
     _SEMANTICS,
-    _batch_rows,
-    _parse_stream,
-    _parse_stream_line,
-    _result_payload,
     _stream_order_names,
-    _stream_vocabulary,
     _stream_write,
 )
-from repro.substrate.parser import (
-    parse_database,
-    parse_query,
-    scan_order_names,
-)
+from repro.substrate.parser import parse_database, parse_query
+
+#: Reply fields that are transport, not the op's payload.
+_ENVELOPE = frozenset(("id", "seq", "ok", "applied_seq"))
 
 
 def _load_database(path: str) -> IndefiniteDatabase:
@@ -102,30 +97,32 @@ def _load_database(path: str) -> IndefiniteDatabase:
     return parse_database(text)
 
 
-def _load_query(source: str, db: IndefiniteDatabase):
-    candidate = pathlib.Path(source)
-    if candidate.exists():
-        source = candidate.read_text()
-    return parse_query(source, db)
-
-
-def _session_with_wal(db: IndefiniteDatabase, wal_path: str | None):
-    """A session for ``db`` — durable when ``--wal`` names a log path.
+def _session_with_wal(
+    database: str,
+    wal_path: str | None,
+    *,
+    extra_order=(),
+    sync: str = "fsync",
+):
+    """``(session, wal)`` for the database file ``database`` — durable
+    when ``--wal`` names a log path.
 
     An existing log wins over the database file (it *is* the session's
-    later state, seeded from that file by an earlier invocation); a
-    fresh path starts the log from ``db``.  Returns ``(session, wal)``
-    with ``wal`` ``None`` when no path was given; the caller closes it.
+    later state, seeded from that file by an earlier invocation), so the
+    file is not read; otherwise the file is parsed with ``extra_order``
+    joining its sort inference and seeds the session (and a fresh log).
+    ``wal`` is ``None`` when no path was given.
     """
-    if wal_path is None:
-        return Session(db), None
     from repro.engine.wal import WriteAheadLog, snap_path
 
-    if pathlib.Path(snap_path(wal_path)).exists():
+    if wal_path is not None and pathlib.Path(snap_path(wal_path)).exists():
         session = Session.recover(wal_path)
     else:
-        session = Session(db)
-    return session, WriteAheadLog(wal_path).attach(session)
+        text = pathlib.Path(database).read_text()
+        session = Session(parse_database(text, extra_order=extra_order))
+    if wal_path is None:
+        return session, None
+    return session, WriteAheadLog(wal_path, sync=sync).attach(session)
 
 
 def _query_text(source: str) -> str:
@@ -136,13 +133,17 @@ def _query_text(source: str) -> str:
     return source
 
 
+def _free_vars(args: argparse.Namespace) -> list[str]:
+    return [name for name in args.free_vars.split(",") if name]
+
+
 def _parse_connect(value: str) -> tuple[str, int]:
     """``HOST:PORT`` (or bare ``:PORT`` / ``PORT`` for localhost)."""
     host, _, port = value.rpartition(":")
     try:
         return host or "127.0.0.1", int(port)
     except ValueError:
-        raise SystemExit(f"--connect wants HOST:PORT, got {value!r}")
+        raise ValueError(f"--connect wants HOST:PORT, got {value!r}") from None
 
 
 def _remote_client(args):
@@ -154,7 +155,7 @@ def _remote_client(args):
     read-your-writes gating and failover, writes go to the primary.
     """
     if getattr(args, "wal", None):
-        raise SystemExit(
+        raise ValueError(
             "--wal and --connect are mutually exclusive: durability "
             "belongs to the server"
         )
@@ -162,7 +163,9 @@ def _remote_client(args):
 
     endpoints = [part for part in args.connect.split(",") if part.strip()]
     if not endpoints:
-        raise SystemExit(f"--connect wants HOST:PORT[,...], got {args.connect!r}")
+        raise ValueError(
+            f"--connect wants HOST:PORT[,...], got {args.connect!r}"
+        )
     if len(endpoints) == 1:
         host, port = _parse_connect(endpoints[0])
         # 60s op bound, as before the client grew timeout=: a CLI call
@@ -172,85 +175,29 @@ def _remote_client(args):
     return ReplicaRouter(primary, replicas)
 
 
-def _remote_query(args: argparse.Namespace) -> int:
-    with _remote_client(args) as client:
-        reply = client.execute(
-            _query_text(args.query),
-            semantics=args.semantics,
-            method=args.method,
-        )
-    payload = {"entailed": reply["entailed"], "method": reply["method"]}
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-        return 0 if reply["entailed"] else 1
-    print(f"entailed: {reply['entailed']}")
-    print(f"method:   {reply['method']}")
-    if args.countermodel and not reply["entailed"]:
-        print("countermodel: (not shipped over --connect; run locally)")
-    return 0 if reply["entailed"] else 1
+def _client(args: argparse.Namespace, lines=()):
+    """The client a query-answering command makes its calls on.
 
+    ``--connect`` reaches a live server; otherwise the server's op
+    handlers run in process over a session of the database file (the
+    stream ``lines``' writes join its sort inference, as ``batch``
+    needs) — the client's close closes the session's log and pool.
+    """
+    if args.connect:
+        return _remote_client(args)
+    from repro.server import ReproServer
 
-def _remote_answers(args: argparse.Namespace) -> int:
-    free = [name for name in args.free_vars.split(",") if name]
-    with _remote_client(args) as client:
-        reply = client.answers(
-            _query_text(args.query), free, semantics=args.semantics
-        )
-    payload = {
-        "answers": reply["answers"],
-        "count": reply["count"],
-        "method": reply["method"],
-    }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-        return 0 if reply["count"] else 1
-    for answer in reply["answers"]:
-        print(", ".join(answer) if answer else "()")
-    print(f"certain answers: {reply['count']} [{reply['method']}]")
-    return 0 if reply["count"] else 1
-
-
-def _remote_batch(args: argparse.Namespace) -> int:
-    lines = pathlib.Path(args.stream).read_text().splitlines()
-    with _remote_client(args) as client:
-        reply = client.batch(lines)
-    return _print_batch(args, reply["ops"], reply["mode"], ", remote")
-
-
-def _remote_watch(args: argparse.Namespace) -> int:
-    lines = pathlib.Path(args.stream).read_text().splitlines()
-    # the server types the writes against its own session; the stream
-    # alone is enough to label each step exactly like the local command
-    writes = _watch_writes(
-        lines, IndefiniteDatabase.empty(), _stream_order_names(lines)
+    session, wal = _session_with_wal(
+        args.database, args.wal, extra_order=_stream_order_names(lines)
     )
-    if writes is None:
-        return 2
-    free = [name for name in args.free_vars.split(",") if name]
-    with _remote_client(args) as client:
-        opened = client.watch(
-            _query_text(args.query), free, semantics=args.semantics
-        )
-        watch_id = opened["watch"]
-        count = opened["count"]
-        steps = [{"step": 0, "op": "initial", "answers": opened["answers"]}]
-        for line, op in writes:
-            # ship the line's own text: it may carry sort declarations
-            kind, text = _stream_write(line)
-            if kind == "assert_facts":
-                client.assert_facts(text)
-            else:
-                client.retract_facts(text)
-            added: list = []
-            removed: list = []
-            for event in client.take_events():
-                if event.get("watch") != watch_id:
-                    continue
-                added.extend(event["added"])
-                removed.extend(event["removed"])
-                count = event["count"]
-            steps.append(_watch_step(len(steps), op, added, removed, count))
-    return _print_watch(args, steps)
+    workers = getattr(args, "workers", 0)
+    return ReproServer(session, wal=wal, workers=workers).connect_local()
+
+
+def _emit_json(reply: dict) -> None:
+    """Print a reply's op payload as the command's ``--json`` object."""
+    payload = {k: v for k, v in reply.items() if k not in _ENVELOPE}
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -258,22 +205,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import logging
 
-    from repro.engine.wal import WriteAheadLog, snap_path
+    from repro.engine.wal import snap_path
     from repro.server import ReproServer
 
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
     if args.replica_of:
         if args.wal:
-            raise SystemExit(
+            raise ValueError(
                 "--replica-of and --wal are mutually exclusive: a replica "
                 "tails a primary's log, it does not own one"
             )
         if args.workers:
-            raise SystemExit("--workers applies to the primary, not replicas")
+            raise ValueError("--workers applies to the primary, not replicas")
         # the primary may still be coming up: wait for its snapshot
         deadline = time.monotonic() + args.replica_wait
         while (
@@ -282,11 +224,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ):
             time.sleep(0.05)
         if not pathlib.Path(snap_path(args.replica_of)).exists():
-            raise SystemExit(
+            raise ValueError(
                 f"primary WAL snapshot {snap_path(args.replica_of)!r} not "
                 f"found after {args.replica_wait:g}s; is the primary "
                 f"serving with --wal {args.replica_of}?"
             )
+    logging.basicConfig(
+        stream=sys.stderr,
+        level=logging.INFO,
+        format="%(asctime)s %(name)s %(levelname)s %(message)s",
+    )
+    if args.replica_of:
         server = ReproServer(
             None,
             args.host,
@@ -297,15 +245,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             heartbeat_timeout=args.heartbeat_timeout,
         )
     else:
-        db = _load_database(args.database)
-        if args.wal:
-            if pathlib.Path(snap_path(args.wal)).exists():
-                session = Session.recover(args.wal)
-            else:
-                session = Session(db)
-            wal = WriteAheadLog(args.wal, sync=args.sync).attach(session)
-        else:
-            session, wal = Session(db), None
+        session, wal = _session_with_wal(
+            args.database, args.wal, sync=args.sync
+        )
         server = ReproServer(
             session,
             args.host,
@@ -355,85 +297,52 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    if args.connect:
-        return _remote_query(args)
-    db = _load_database(args.database)
-    session, wal = _session_with_wal(db, args.wal)
-    query = _load_query(args.query, session.db.union(db))
-    result = session.prepare(
-        query,
-        semantics=_SEMANTICS[args.semantics],
-        method=args.method,
-    ).execute()
-    if wal is not None:
-        wal.close()
+    with _client(args) as client:
+        reply = client.execute(
+            _query_text(args.query),
+            semantics=args.semantics,
+            method=args.method,
+            countermodel=args.countermodel,
+        )
+    verdict = 0 if reply["entailed"] else 1
     if args.json:
-        payload = _result_payload(result)
-        if args.countermodel and not result.holds:
-            payload["countermodel"] = (
-                None
-                if result.countermodel is None
-                else result.render_countermodel()
-            )
-        print(json.dumps(payload, sort_keys=True))
-        return 0 if result.holds else 1
-    print(f"entailed: {result.holds}")
-    print(f"method:   {result.method}")
-    if args.countermodel and not result.holds:
-        if result.countermodel is None:
+        _emit_json(reply)
+        return verdict
+    print(f"entailed: {reply['entailed']}")
+    print(f"method:   {reply['method']}")
+    if "countermodel" in reply:
+        if reply["countermodel"] is None:
             print("countermodel: (not produced by this method; "
                   "try --method bruteforce)")
         else:
-            print(f"countermodel: {result.render_countermodel()}")
-    return 0 if result.holds else 1
+            print(f"countermodel: {reply['countermodel']}")
+    return verdict
 
 
 def _cmd_answers(args: argparse.Namespace) -> int:
-    if args.connect:
-        return _remote_answers(args)
-    db = _load_database(args.database)
-    session, wal = _session_with_wal(db, args.wal)
-    query = _load_query(args.query, session.db.union(db))
-    free_vars = tuple(
-        objvar(name) for name in args.free_vars.split(",") if name
-    )
-    result = session.prepare(
-        query,
-        semantics=_SEMANTICS[args.semantics],
-        free_vars=free_vars,
-    ).execute()
-    if wal is not None:
-        wal.close()
-    assert result.answers is not None
+    with _client(args) as client:
+        reply = client.answers(
+            _query_text(args.query), _free_vars(args), semantics=args.semantics
+        )
+    verdict = 0 if reply["count"] else 1
     if args.json:
-        print(json.dumps(_result_payload(result), sort_keys=True))
-        return 0 if result.answers else 1
-    for answer in sorted(result.answers):
+        _emit_json(reply)
+        return verdict
+    for answer in reply["answers"]:
         print(", ".join(answer) if answer else "()")
-    print(f"certain answers: {len(result.answers)} [{result.method}]")
-    return 0 if result.answers else 1
+    print(f"certain answers: {reply['count']} [{reply['method']}]")
+    return verdict
 
 
-def _load_stream(args: argparse.Namespace):
-    """``(db, vocab, order_names, lines)`` for a local stream command.
-
-    Sort inference runs over the database file and every stream write
-    together, and query lines resolve against the stream vocabulary
-    (see :mod:`repro.server.protocol`).
-    """
-    db_text = pathlib.Path(args.database).read_text()
+def _cmd_batch(args: argparse.Namespace) -> int:
+    """Run a request-stream file through the batching engine."""
     lines = pathlib.Path(args.stream).read_text().splitlines()
-    order_names = _stream_order_names(lines, scan_order_names(db_text))
-    db = parse_database(db_text, extra_order=order_names)
-    return db, _stream_vocabulary(db, lines, order_names), order_names, lines
-
-
-def _print_batch(args, rows: list[dict], mode: str, where: str = "") -> int:
-    """Report a batch's rows (local or remote); ``where`` tags the mode."""
+    with _client(args, lines) as client:
+        reply = client.batch(lines)
     if args.json:
-        print(json.dumps({"mode": mode, "ops": rows}, sort_keys=True))
+        _emit_json(reply)
         return 0
-    for row in rows:
+    for row in reply["ops"]:
         if row["kind"] == "query":
             verdict = (
                 f"answers={row['count']}"
@@ -444,72 +353,71 @@ def _print_batch(args, rows: list[dict], mode: str, where: str = "") -> int:
         else:
             print(f"[{row['op']:>3}] {row['kind']:<14} "
                   f"{'; '.join(row['atoms'])}")
-    print(f"executed {len(rows)} ops ({mode}{where})")
+    where = ", remote" if args.connect else ""
+    print(f"executed {len(reply['ops'])} ops ({reply['mode']}{where})")
     return 0
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
-    """Run a request-stream file through the batching engine."""
-    if args.connect:
-        return _remote_batch(args)
-    from repro.engine.batch import QueryRequest, execute_stream
-    from repro.engine.pool import DaemonPool
+def _watch_writes(lines: list[str]) -> list[tuple[str, str, str]]:
+    """``[(mutator, fragment text, step label), ...]`` for a watch stream.
 
-    db, vocab, order_names, lines = _load_stream(args)
-    ops = _parse_stream(lines, vocab, order_names)
-    session, wal = _session_with_wal(db, args.wal)
-    try:
-        if args.workers > 1:
-            # each read run fans out over the pool (results identical to
-            # --workers 1); a degraded pool keeps the in-process labels
-            with DaemonPool(session, workers=args.workers) as pool:
-                results = execute_stream(session, ops, pool=pool)
-                if pool.parallel:
-                    mode = f"pool[{args.workers}]"
-                elif all(isinstance(op, QueryRequest) for op in ops):
-                    mode = "sequential"
-                else:
-                    mode = "stream"
-        else:
-            results = execute_stream(session, ops)
-            mode = "stream"
-    finally:
-        if wal is not None:
-            wal.close()
-    return _print_batch(args, _batch_rows(ops, results), mode)
-
-
-def _watch_writes(lines: list[str], vocab, order_names):
-    """``[(line, Mutation), ...]`` for a watch stream, or ``None`` after
-    reporting the first line that is not a write (nothing is applied)."""
-    from repro.engine.batch import Mutation
-
+    The server parses each write on its own, so every fragment is sent
+    with an ``order:`` declaration of the stream-wide order names it
+    mentions: a constant that only a later line orders must not arrive
+    object-sorted.  A line that is not a write is a ``ValueError``,
+    raised before anything runs.
+    """
+    names = _stream_order_names(lines)
     writes = []
     for line in lines:
-        op = _parse_stream_line(line, vocab, order_names)
-        if op is None:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
-        if not isinstance(op, Mutation):
-            print(f"watch stream must contain only writes, got: "
-                  f"{line.strip()}", file=sys.stderr)
-            return None
-        writes.append((line, op))
+        write = _stream_write(line)
+        if write is None:
+            raise ValueError(
+                f"watch stream must contain only writes, got: {line}"
+            )
+        kind, text = write
+        fragment = parse_database(text, extra_order=names)
+        order = fragment.order_constants
+        if order:
+            text = f"order: {' '.join(sorted(order))}; {text}"
+        label = f"{kind} {'; '.join(str(a) for a in fragment.atoms())}"
+        writes.append((kind, text, label))
     return writes
 
 
-def _watch_step(step: int, op, added, removed, count: int) -> dict:
-    return {
-        "step": step,
-        "op": f"{op.kind} {'; '.join(str(a) for a in op.atoms)}",
-        "added": added,
-        "removed": removed,
-        "count": count,
-    }
-
-
-def _print_watch(args, steps: list[dict], summary: dict | None = None) -> int:
-    """Report a watch's steps (local or remote) and any refresh summary."""
-    summary = summary or {}
+def _cmd_watch(args: argparse.Namespace) -> int:
+    """Maintain a materialized view of an open query across a write stream."""
+    lines = pathlib.Path(args.stream).read_text().splitlines()
+    writes = _watch_writes(lines)
+    with _client(args, lines) as client:
+        # the stream's lines let the query resolve the constants its
+        # writes introduce, as a batch's query lines do
+        opened = client.watch(
+            _query_text(args.query),
+            _free_vars(args),
+            semantics=args.semantics,
+            lines=lines,
+        )
+        count = opened["count"]
+        steps = [{"step": 0, "op": "initial", "answers": opened["answers"]}]
+        for kind, text, label in writes:
+            getattr(client, kind)(text)  # assert_facts / retract_facts
+            added: list = []
+            removed: list = []
+            for event in client.take_events():
+                if event.get("watch") != opened["watch"]:
+                    continue
+                added.extend(event["added"])
+                removed.extend(event["removed"])
+                count = event["count"]
+            steps.append({"step": len(steps), "op": label, "added": added,
+                          "removed": removed, "count": count})
+        closed = client.unwatch(opened["watch"])
+    summary = {key: closed[key] for key in
+               ("full_refreshes", "delta_refreshes", "delta_capable")}
     if args.json:
         print(json.dumps({"steps": steps, **summary}, sort_keys=True))
         return 0
@@ -525,51 +433,10 @@ def _print_watch(args, steps: list[dict], summary: dict | None = None) -> int:
         print(f"[{step['step']:>3}] {step['op']}: "
               f"{' '.join(delta) if delta else '(no change)'} "
               f"[{step['count']} answers]")
-    if summary:
-        print(f"refreshes: {summary['full_refreshes']} full, "
-              f"{summary['delta_refreshes']} delta "
-              f"(delta-capable: {summary['delta_capable']})")
+    print(f"refreshes: {summary['full_refreshes']} full, "
+          f"{summary['delta_refreshes']} delta "
+          f"(delta-capable: {summary['delta_capable']})")
     return 0
-
-
-def _cmd_watch(args: argparse.Namespace) -> int:
-    """Maintain a materialized view of an open query across a write stream."""
-    if args.connect:
-        return _remote_watch(args)
-    from repro.engine.views import MaterializedView
-
-    db, vocab, order_names, lines = _load_stream(args)
-    writes = _watch_writes(lines, vocab, order_names)
-    if writes is None:
-        return 2
-    session, wal = _session_with_wal(db, args.wal)
-    query = _load_query(args.query, vocab)
-    free_vars = tuple(
-        objvar(name) for name in args.free_vars.split(",") if name
-    )
-    view = MaterializedView(
-        session, query, free_vars, semantics=_SEMANTICS[args.semantics]
-    )
-    current = view.answers()
-    steps = [{"step": 0, "op": "initial",
-              "answers": sorted(list(a) for a in current)}]
-    for _line, op in writes:
-        op.apply(session)
-        updated = view.answers()
-        steps.append(_watch_step(
-            len(steps), op,
-            sorted(list(a) for a in updated - current),
-            sorted(list(a) for a in current - updated),
-            len(updated),
-        ))
-        current = updated
-    if wal is not None:
-        wal.close()
-    return _print_watch(args, steps, {
-        "full_refreshes": view.full_refreshes,
-        "delta_refreshes": view.delta_refreshes,
-        "delta_capable": view.delta_capable,
-    })
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -638,8 +505,7 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     db = _load_database(args.database)
-    query = _load_query(args.query, db)
-    print(classify(db, query).summary())
+    print(classify(db, parse_query(_query_text(args.query), db)).summary())
     return 0
 
 
@@ -650,67 +516,6 @@ def _cmd_width(args: argparse.Namespace) -> int:
     print(f"width: {len(antichain)}")
     print(f"a maximum antichain: {sorted(antichain)}")
     return 0
-
-
-def _cmd_bench_session(args: argparse.Namespace) -> int:
-    """Time repeated execution: prepared plan vs the one-shot wrappers.
-
-    Between prepared executions the session absorbs an assert/retract
-    pair on a scratch object fact, so every iteration re-executes the
-    plan through the invalidation path instead of returning the
-    memoized result of an unchanged database.
-    """
-    from repro.core.atoms import ProperAtom
-    from repro.core.entailment import certain_answers, explain
-    from repro.core.sorts import obj
-
-    db = _load_database(args.database)
-    query = _load_query(args.query, db)
-    semantics = _SEMANTICS[args.semantics]
-    free_vars = tuple(
-        objvar(name) for name in args.free_vars.split(",") if name
-    ) if args.free_vars else None
-    repeat = args.repeat
-
-    if free_vars is None:
-        def one_shot():
-            return explain(db, query, semantics=semantics,
-                           method=args.method).holds
-    else:
-        def one_shot():
-            return frozenset(
-                certain_answers(db, query, free_vars, semantics=semantics)
-            )
-
-    session = Session(db)
-    plan = session.prepare(
-        query, semantics=semantics, method=args.method, free_vars=free_vars
-    )
-
-    t0 = time.perf_counter()
-    expected = [one_shot() for _ in range(repeat)]
-    one_shot_s = time.perf_counter() - t0
-
-    tick = ProperAtom("BenchSessionTick", (obj("_bench_tick"),))
-    t0 = time.perf_counter()
-    got = []
-    for _ in range(repeat):
-        # Net no-op churn: invalidates the result memo, keeps the db equal
-        # to the one-shot side's, and exercises the live execution path.
-        session.assert_facts(tick)
-        session.retract_facts(tick)
-        result = plan.execute()
-        got.append(result.holds if free_vars is None else result.answers)
-    prepared_s = time.perf_counter() - t0
-
-    match = expected == got
-    speedup = one_shot_s / prepared_s if prepared_s else float("inf")
-    print(f"repeats:   {repeat}")
-    print(f"one-shot:  {one_shot_s * 1e3:9.2f} ms")
-    print(f"prepared:  {prepared_s * 1e3:9.2f} ms")
-    print(f"speedup:   {speedup:.1f}x")
-    print(f"results:   {'match' if match else 'MISMATCH'}")
-    return 0 if match else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -867,18 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("database")
     w.set_defaults(func=_cmd_width)
 
-    b = sub.add_parser(
-        "bench-session",
-        help="time prepared-plan execution vs the one-shot API",
-    )
-    b.add_argument("database")
-    b.add_argument("query")
-    b.add_argument("--repeat", type=int, default=50)
-    b.add_argument("--semantics", choices=sorted(_SEMANTICS), default="fin")
-    b.add_argument("--method", choices=_METHODS, default="auto")
-    b.add_argument("--free-vars", default="",
-                   help="benchmark certain_answers over these object vars")
-    b.set_defaults(func=_cmd_bench_session)
     return parser
 
 
@@ -887,6 +680,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ServerReplyError as exc:
+        # the op's own error as the server typed it: one line, the same
+        # in process and over --connect
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ReproError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

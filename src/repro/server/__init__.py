@@ -3,8 +3,11 @@
 ``repro serve`` (:mod:`repro.cli`) hosts a
 :class:`~repro.server.server.ReproServer`; ``--connect HOST:PORT`` on
 ``query``/``answers``/``batch``/``watch`` drives it through
-:class:`~repro.server.client.ReproClient`.  ``repro serve --replica-of
-WAL`` hosts a read-only replica tailing a primary's log, and
+:class:`~repro.server.client.ReproClient`; without ``--connect`` the
+same commands run its op handlers in process
+(:meth:`~repro.server.server.ReproServer.connect_local`).  ``repro
+serve --replica-of WAL`` hosts a read-only replica tailing a primary's
+log, and
 ``--connect PRIMARY,REPLICA,...`` drives the fleet through
 :class:`~repro.server.client.ReplicaRouter` (read-your-writes routing,
 retry/backoff, failover).  See :mod:`repro.server.protocol` for the

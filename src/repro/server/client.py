@@ -23,6 +23,11 @@ as ``min_seq`` (read-your-writes), and every failure mode — a lagging
 replica, a dead replica, a dropped connection, a timeout — is absorbed
 by bounded waiting, exponential backoff with jitter, and failover to
 the next replica or the primary.
+
+Both, and the in-process client of
+:meth:`~repro.server.server.ReproServer.connect_local`, take their op
+conveniences (``execute``, ``answers``, ``watch``, ...) from
+:class:`OpCalls` and differ only in ``call``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,12 @@ import time
 
 from repro.core.errors import ReproError
 from repro.server.protocol import MAX_FRAME, encode_frame, read_frame_sync
+
+#: Ops a :class:`ReplicaRouter` may serve from a replica.
+_ROUTED_READS = frozenset(("execute", "answers"))
+
+#: Ops whose acknowledged ``seq`` is the router's read-your-writes token.
+_WRITE_OPS = frozenset(("assert", "retract", "batch"))
 
 
 class ClientError(ReproError):
@@ -62,7 +73,87 @@ class ServerReplyError(ReproError):
         super().__init__(f"{self.type}: {error.get('message', '')}")
 
 
-class ReproClient:
+class OpCalls:
+    """The op conveniences every client shares: each builds one request
+    and hands it to the transport's ``call(op, check=..., **fields)``.
+
+    :class:`ReproClient` (a socket), :class:`ReplicaRouter` (a routed
+    fleet) and the in-process client of
+    :meth:`repro.server.server.ReproServer.connect_local` differ only in
+    that ``call``.
+    """
+
+    def execute(
+        self,
+        query: str | None = None,
+        *,
+        handle: int | None = None,
+        semantics: str = "fin",
+        method: str = "auto",
+        countermodel: bool = False,
+        check: bool = True,
+    ) -> dict:
+        if handle is not None:
+            fields: dict = {"handle": handle}
+        else:
+            fields = {"query": query, "semantics": semantics, "method": method}
+        if countermodel:
+            fields["countermodel"] = True
+        return self.call("execute", check=check, **fields)
+
+    def answers(
+        self,
+        query: str | None = None,
+        free_vars: list[str] | None = None,
+        *,
+        handle: int | None = None,
+        semantics: str = "fin",
+        check: bool = True,
+    ) -> dict:
+        if handle is not None:
+            return self.call("answers", check=check, handle=handle)
+        return self.call(
+            "answers",
+            check=check,
+            query=query,
+            free_vars=list(free_vars or []),
+            semantics=semantics,
+        )
+
+    def prepare(self, query: str, free_vars=None, **fields) -> int:
+        reply = self.call(
+            "prepare",
+            query=query,
+            **({"free_vars": list(free_vars)} if free_vars is not None else {}),
+            **fields,
+        )
+        return reply["handle"]
+
+    def assert_facts(self, facts: str, check: bool = True) -> dict:
+        return self.call("assert", check=check, facts=facts)
+
+    def retract_facts(self, facts: str, check: bool = True) -> dict:
+        return self.call("retract", check=check, facts=facts)
+
+    def batch(self, lines: list[str], check: bool = True) -> dict:
+        return self.call("batch", check=check, lines=list(lines))
+
+    def watch(self, query: str, free_vars: list[str], **fields) -> dict:
+        return self.call(
+            "watch", query=query, free_vars=list(free_vars), **fields
+        )
+
+    def unwatch(self, watch: int) -> dict:
+        return self.call("unwatch", watch=watch)
+
+    def stats(self) -> dict:
+        return self.call("stats")
+
+    def ping(self) -> dict:
+        return self.call("ping")
+
+
+class ReproClient(OpCalls):
     """One connection to a :class:`~repro.server.server.ReproServer`.
 
     ``timeout`` bounds every blocking socket wait (connect aside — see
@@ -189,74 +280,8 @@ class ReproClient:
         """Send one op and block for its reply."""
         return self.wait(self.send(op, **fields), check=check)
 
-    # -- op conveniences (the CLI --connect surface) ------------------------
 
-    def execute(
-        self,
-        query: str | None = None,
-        *,
-        handle: int | None = None,
-        semantics: str = "fin",
-        method: str = "auto",
-        check: bool = True,
-    ) -> dict:
-        fields: dict = {"semantics": semantics, "method": method}
-        if handle is not None:
-            fields = {"handle": handle}
-        else:
-            fields["query"] = query
-        return self.call("execute", check=check, **fields)
-
-    def answers(
-        self,
-        query: str | None = None,
-        free_vars: list[str] | None = None,
-        *,
-        handle: int | None = None,
-        semantics: str = "fin",
-        check: bool = True,
-    ) -> dict:
-        if handle is not None:
-            return self.call("answers", check=check, handle=handle)
-        return self.call(
-            "answers",
-            check=check,
-            query=query,
-            free_vars=list(free_vars or []),
-            semantics=semantics,
-        )
-
-    def prepare(self, query: str, free_vars=None, **fields) -> int:
-        reply = self.call(
-            "prepare",
-            query=query,
-            **({"free_vars": list(free_vars)} if free_vars is not None else {}),
-            **fields,
-        )
-        return reply["handle"]
-
-    def assert_facts(self, facts: str, check: bool = True) -> dict:
-        return self.call("assert", check=check, facts=facts)
-
-    def retract_facts(self, facts: str, check: bool = True) -> dict:
-        return self.call("retract", check=check, facts=facts)
-
-    def batch(self, lines: list[str], check: bool = True) -> dict:
-        return self.call("batch", check=check, lines=list(lines))
-
-    def watch(self, query: str, free_vars: list[str], **fields) -> dict:
-        return self.call(
-            "watch", query=query, free_vars=list(free_vars), **fields
-        )
-
-    def stats(self) -> dict:
-        return self.call("stats")
-
-    def ping(self) -> dict:
-        return self.call("ping")
-
-
-class ReplicaRouter:
+class ReplicaRouter(OpCalls):
     """Route one client session over a primary and N read replicas.
 
     Consistency: the router tracks the ``seq`` of the session's last
@@ -452,67 +477,21 @@ class ReplicaRouter:
                 raise ServerReplyError(reply)
             return reply
 
-    # -- the ReproClient op surface -----------------------------------------
+    # -- the op surface -----------------------------------------------------
 
-    def execute(
-        self,
-        query: str | None = None,
-        *,
-        semantics: str = "fin",
-        method: str = "auto",
-        check: bool = True,
-    ) -> dict:
-        return self._read(
-            "execute",
-            {"query": query, "semantics": semantics, "method": method},
-            check=check,
-        )
-
-    def answers(
-        self,
-        query: str | None = None,
-        free_vars: list[str] | None = None,
-        *,
-        semantics: str = "fin",
-        check: bool = True,
-    ) -> dict:
-        return self._read(
-            "answers",
-            {
-                "query": query,
-                "free_vars": list(free_vars or []),
-                "semantics": semantics,
-            },
-            check=check,
-        )
-
-    def assert_facts(self, facts: str, check: bool = True) -> dict:
+    def call(self, op: str, check: bool = True, **fields) -> dict:
+        """One op, routed: text reads to the replicas, the rest to the
+        primary (a plan handle lives on the primary's connection)."""
+        if op in _ROUTED_READS and "handle" not in fields:
+            return self._read(op, fields, check)
         return self._primary_call(
-            "assert", {"facts": facts}, check=check, is_write=True
-        )
-
-    def retract_facts(self, facts: str, check: bool = True) -> dict:
-        return self._primary_call(
-            "retract", {"facts": facts}, check=check, is_write=True
-        )
-
-    def batch(self, lines: list[str], check: bool = True) -> dict:
-        return self._primary_call(
-            "batch", {"lines": list(lines)}, check=check, is_write=True
-        )
-
-    def watch(self, query: str, free_vars: list[str], **fields) -> dict:
-        return self._primary_call(
-            "watch", {"query": query, "free_vars": list(free_vars), **fields}
+            op, fields, check, is_write=op in _WRITE_OPS
         )
 
     def take_events(self) -> list[dict]:
         if self._primary is None:
             return []
         return self._primary.take_events()
-
-    def stats(self) -> dict:
-        return self._primary_call("stats", {})
 
     def replica_stats(self) -> list[dict | None]:
         """Best-effort ``stats`` from each replica (``None`` if unreachable)."""
@@ -524,9 +503,6 @@ class ReplicaRouter:
                 self._mark_down(idx, exc)
                 out.append(None)
         return out
-
-    def ping(self) -> dict:
-        return self._primary_call("ping", {})
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -548,6 +524,7 @@ class ReplicaRouter:
 __all__ = [
     "ClientError",
     "ClientTimeout",
+    "OpCalls",
     "ReplicaRouter",
     "ReproClient",
     "ServerReplyError",

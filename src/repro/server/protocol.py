@@ -32,6 +32,16 @@ concurrent-equals-sequential differential checkable)::
 Server-pushed frames (``watch`` deltas) have an ``event`` field instead
 of ``id``; clients must tolerate them between any two replies.
 
+Op fields beyond the query text: ``execute`` takes ``countermodel: true``
+to add the rendered falsifying model (or ``null``) to a not-entailed
+reply; ``watch`` takes the ``lines`` of the request stream that will
+drive it, so its query resolves the constants those writes introduce
+(as a ``batch`` stream's query lines do); ``unwatch`` replies with the
+view's ``full_refreshes``, ``delta_refreshes`` and ``delta_capable``.
+A ``batch`` reply's ``mode`` is ``pool[N]`` while a daemon pool runs
+the reads, ``sequential`` when a degraded pool ran a write-free stream
+in process, and ``stream`` otherwise.
+
 Replica extensions (``repro serve --replica-of``) ride the same frames:
 
 * every reply from a replica — ok or error — additionally carries

@@ -58,6 +58,13 @@ start it resumes ``seq`` from the log's mark high-water, so the tokens
 replicas and routed clients already hold stay meaningful across a
 primary restart.
 
+**In process** (:meth:`ReproServer.connect_local`): the same dispatch,
+handlers and payloads with no socket, event loop or heartbeat.  Each
+call of the returned :class:`LocalClient` runs as a one-op engine run
+and reads its reply (and any watch events) off its connection's outbox.
+The CLI's local ``query``/``answers``/``batch``/``watch`` run this way,
+so they differ from their ``--connect`` forms only in transport.
+
 Fault sites (:mod:`repro.engine.faults`): ``server.conn.drop`` severs a
 connection at reply time — the harness for client-visible partial
 failure; ``server.replica.lag`` skips a replica's WAL poll;
@@ -77,11 +84,13 @@ from contextlib import suppress
 
 from repro.api.plan import PreparedQuery
 from repro.api.session import Session
+from repro.core.database import IndefiniteDatabase
 from repro.core.sorts import objvar
 from repro.engine import faults
 from repro.engine.batch import Mutation, QueryRequest, execute_many, execute_stream
 from repro.engine.views import MaterializedView
 from repro.engine.wal import WalError, WalFollower
+from repro.server.client import ClientError, OpCalls, ServerReplyError
 from repro.server.protocol import (
     _METHODS,
     _SEMANTICS,
@@ -122,6 +131,19 @@ _ENGINE_RUN_CAP = 1024
 _PRIMARY_ONLY_OPS = frozenset(
     ("prepare", "release", "assert", "retract", "batch", "watch", "unwatch")
 )
+
+
+def _read_payload(req: dict, result) -> dict:
+    """A read's reply payload, plus the rendered countermodel of a
+    closed query that does not hold when the request asked for it."""
+    payload = _result_payload(result)
+    if req.get("countermodel") and result.answers is None and not result.holds:
+        payload["countermodel"] = (
+            None
+            if result.countermodel is None
+            else result.render_countermodel()
+        )
+    return payload
 
 
 class _Connection:
@@ -282,15 +304,13 @@ class ReproServer:
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def start(self) -> "ReproServer":
-        """Bind the listener and start the engine loop."""
-        self._queue = asyncio.Queue()
-        self._drained = asyncio.Event()
+    def _open_engine(self) -> None:
+        """The synchronous half of :meth:`start`: the replica's follower
+        session, the primary's resumed ``seq`` and the daemon pool."""
         if self.replica_of is not None:
             self._follower = WalFollower(self.replica_of)
             self.session = self._follower.session
             self._primary_seen = time.monotonic()
-            self._poll_task = asyncio.create_task(self._poll_loop())
         elif self.wal is not None:
             # A restarted primary must not hand out seq numbers the
             # replicas' applied_seq (which only ratchets upward) has
@@ -299,17 +319,47 @@ class ReproServer:
             # the log's mark high-water, which attach() recovers and
             # compact() preserves across truncation.
             self._seq = max(self._seq, self.wal.last_mark_seq)
-            if self.heartbeat_interval:
-                # One mark up front so a replica attaching now already
-                # has a liveness stamp, then the periodic heartbeat.
-                self.wal.append_mark(self._seq)
-                self._heartbeat_task = asyncio.create_task(
-                    self._heartbeat_loop()
-                )
         if self.workers > 1 and self._pool is None:
             from repro.engine.pool import DaemonPool
 
             self._pool = DaemonPool(self.session, workers=self.workers)
+
+    def _close_engine(self) -> None:
+        """The synchronous half of :meth:`drain`: close every watch, the
+        WAL (which fsyncs any open group-commit window, so every
+        acknowledged write is on disk) and the pool."""
+        for conn in self._conns:
+            conn.close_watches()
+        if self.wal is not None:
+            self.wal.close()
+        if self._pool is not None:
+            self._pool.close()
+
+    def connect_local(self) -> "LocalClient":
+        """An in-process client of this (unstarted) server.
+
+        Its ops run through the same dispatch, handlers and payloads as
+        a socket connection's, one op per engine run, with no socket,
+        event loop or heartbeat.  The client owns the engine: this opens
+        it and :meth:`LocalClient.close` closes it.
+        """
+        if self._queue is not None:
+            raise RuntimeError("connect_local() needs an unstarted server")
+        self._open_engine()
+        return LocalClient(self)
+
+    async def start(self) -> "ReproServer":
+        """Bind the listener and start the engine loop."""
+        self._queue = asyncio.Queue()
+        self._drained = asyncio.Event()
+        self._open_engine()
+        if self._follower is not None:
+            self._poll_task = asyncio.create_task(self._poll_loop())
+        elif self.wal is not None and self.heartbeat_interval:
+            # One mark up front so a replica attaching now already has
+            # a liveness stamp, then the periodic heartbeat.
+            self.wal.append_mark(self._seq)
+            self._heartbeat_task = asyncio.create_task(self._heartbeat_loop())
         self._server = await asyncio.start_server(
             self._on_connect, self.host, self.port
         )
@@ -370,15 +420,9 @@ class ReproServer:
                 task.cancel()
                 with suppress(asyncio.CancelledError):
                     await task
-        if self.wal is not None:
-            # closes the group-commit window too: every acknowledged
-            # write is on disk before the process exits
-            self.wal.close()
-        if self._pool is not None:
-            self._pool.close()
+        self._close_engine()
         for conn in list(self._conns):
             await conn.wait_idle()
-            conn.close_watches()
             conn.outbox.put_nowait(None)
             if conn.writer_task is not None:
                 try:
@@ -611,13 +655,13 @@ class ReproServer:
                 except Exception as exc:
                     self._reply_error(conn, req, exc)
                 else:
-                    self._reply(conn, req, _result_payload(result))
+                    self._reply(conn, req, _read_payload(req, result))
             return
         if len(requests) > 1:
             self.stats["read_batches"] += 1
             self.stats["batched_reads"] += len(requests)
         for (conn, req, _, _), result in zip(pending, results):
-            self._reply(conn, req, _result_payload(result))
+            self._reply(conn, req, _read_payload(req, result))
 
     # -- op dispatch --------------------------------------------------------
 
@@ -677,23 +721,48 @@ class ReproServer:
         self._notify_watches(self._seq + 1)
         return {"kind": kind, "applied": len(mutation.atoms)}
 
-    def _op_batch(self, conn: _Connection, req: dict) -> dict:
+    def _stream(
+        self, req: dict
+    ) -> tuple[list[str], IndefiniteDatabase, set[str]]:
+        """``(lines, vocabulary, order names)`` of a request's stream.
+
+        Sort inference runs over the session and every write line
+        together, and reads resolve constants against the session plus
+        every atom a write line mentions (see :mod:`repro.server.protocol`).
+        """
         lines = req.get("lines")
         if not isinstance(lines, list) or not all(
             isinstance(l, str) for l in lines
         ):
-            raise PayloadError("op 'batch' needs a 'lines' list of strings")
+            raise PayloadError(
+                f"op {req['op']!r} needs a 'lines' list of strings"
+            )
         names = _stream_order_names(
             lines, self.session.db.vocabulary.order_constants
         )
-        vocab = _stream_vocabulary(self.session.db, lines, names)
+        return lines, _stream_vocabulary(self.session.db, lines, names), names
+
+    def _op_batch(self, conn: _Connection, req: dict) -> dict:
+        lines, vocab, names = self._stream(req)
         ops = _parse_stream(lines, vocab, names)
         results = execute_stream(self.session, ops, pool=self._pool)
         self._notify_watches(self._seq + 1)
-        return {"mode": "stream", "ops": _batch_rows(ops, results)}
+        pool = self._pool
+        if pool is not None and pool.parallel:
+            mode = f"pool[{self.workers}]"
+        elif pool is not None and all(
+            isinstance(op, QueryRequest) for op in ops
+        ):
+            mode = "sequential"  # a degraded pool ran the reads in process
+        else:
+            mode = "stream"
+        return {"mode": mode, "ops": _batch_rows(ops, results)}
 
     def _op_watch(self, conn: _Connection, req: dict) -> dict:
-        request = self._parse_read(req)
+        # with the stream's 'lines', the query sees the constants its
+        # later writes introduce, as a batch's query lines do
+        vocab = self._stream(req)[1] if "lines" in req else self.session.db
+        request = self._parse_read(req, vocab)
         if request.free_vars is None:
             raise PayloadError("op 'watch' needs a 'free_vars' list")
         view = MaterializedView(
@@ -713,9 +782,16 @@ class ReproServer:
 
     def _op_unwatch(self, conn: _Connection, req: dict) -> dict:
         state = conn.watches.pop(req.get("watch"), None)
-        if state is not None:
-            state["view"].close()
-        return {"unwatched": state is not None}
+        if state is None:
+            return {"unwatched": False}
+        view = state["view"]
+        view.close()
+        return {
+            "unwatched": True,
+            "full_refreshes": view.full_refreshes,
+            "delta_refreshes": view.delta_refreshes,
+            "delta_capable": view.delta_capable,
+        }
 
     def _op_stats(self, conn: _Connection, req: dict) -> dict:
         parses = len(self.session.db.vocabulary.parses)
@@ -775,8 +851,9 @@ class ReproServer:
 
     # -- request parsing ----------------------------------------------------
 
-    def _parse_read(self, req: dict) -> QueryRequest:
-        """Build the :class:`QueryRequest` a read/prepare/watch op names."""
+    def _parse_read(self, req: dict, vocab=None) -> QueryRequest:
+        """Build the :class:`QueryRequest` a read/prepare/watch op names,
+        resolving constants against ``vocab`` (default: the session)."""
         text = req.get("query")
         if not isinstance(text, str):
             raise PayloadError(f"op {req.get('op')!r} needs a 'query' string")
@@ -797,7 +874,7 @@ class ReproServer:
             free_vars = tuple(objvar(n) for n in free)
         else:
             free_vars = None
-        query = parse_query(text, self.session.db)
+        query = parse_query(text, self.session.db if vocab is None else vocab)
         return QueryRequest(
             query, _SEMANTICS[semantics], method, free_vars=free_vars
         )
@@ -815,6 +892,8 @@ class ReproServer:
                     f"replica applied_seq={self._follower.applied_seq} "
                     f"is behind min_seq={min_seq}"
                 )
+        if not isinstance(req.get("countermodel", False), bool):
+            raise PayloadError("'countermodel' must be a boolean")
         if "handle" in req:
             handle = req["handle"]
             try:
@@ -908,6 +987,65 @@ class ReproServer:
         return True
 
 
+class LocalClient(OpCalls):
+    """An in-process connection to an unstarted :class:`ReproServer`
+    (see :meth:`ReproServer.connect_local`).
+
+    :meth:`call` runs one request through the server's engine run and
+    splits the connection's outbox into the reply and the watch events
+    pushed before it (kept for :meth:`take_events`).  Flow control does
+    not apply: an in-process caller waits for each reply.
+    """
+
+    def __init__(self, server: ReproServer) -> None:
+        self._server = server
+        self._conn = _Connection(server, None, None, next(server._conn_ids))
+        server._conns.add(self._conn)
+        server.stats["connections"] += 1
+        self._next_id = 0
+        #: server-pushed watch events, in arrival order
+        self.events: list[dict] = []
+
+    def call(self, op: str, check: bool = True, **fields) -> dict:
+        """Run one op and return its reply."""
+        self._next_id += 1
+        rid = self._next_id
+        request = {"op": op, "id": rid, **fields}
+        self._server._process_run([(self._conn, request)])
+        reply = None
+        outbox = self._conn.outbox
+        while not outbox.empty():
+            frame = outbox.get_nowait()
+            if frame is None:  # the connection was severed (fault site)
+                break
+            if "event" in frame:
+                self.events.append(frame)
+            else:
+                reply = frame
+        if reply is None:
+            raise ClientError(f"connection closed before reply {rid}")
+        if check and not reply.get("ok", False):
+            raise ServerReplyError(reply)
+        return reply
+
+    def take_events(self) -> list[dict]:
+        """Hand over the buffered watch events (clears the buffer)."""
+        events, self.events = self.events, []
+        return events
+
+    def close(self) -> None:
+        """Close the engine: watches, WAL and pool (idempotent)."""
+        if self._conn in self._server._conns:
+            self._server._close_engine()
+            self._server._conns.discard(self._conn)
+
+    def __enter__(self) -> "LocalClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 class ServerThread:
     """A :class:`ReproServer` on a private event loop in a daemon thread.
 
@@ -973,6 +1111,7 @@ class ServerThread:
 
 __all__ = [
     "DEFAULT_MAX_INFLIGHT",
+    "LocalClient",
     "ReproServer",
     "ServerThread",
 ]

@@ -459,24 +459,6 @@ def random_nary_query(
 # -- propositional workloads for the reductions -------------------------------
 
 
-def random_monotone_clauses(
-    rng: random.Random, n_letters: int, n_clauses: int
-) -> tuple[list[tuple[str, str, str]], list[tuple[str, str, str]]]:
-    """Random monotone 3SAT instance: (positive clauses, negative clauses).
-
-    Letters are ``p0 .. p{n-1}``; each clause is a triple of letters, used
-    positively in the first list and negatively in the second.
-    """
-    letters = [f"p{i}" for i in range(n_letters)]
-    positive = [
-        tuple(rng.choice(letters) for _ in range(3)) for _ in range(n_clauses)
-    ]
-    negative = [
-        tuple(rng.choice(letters) for _ in range(3)) for _ in range(n_clauses)
-    ]
-    return positive, negative
-
-
 def random_dnf(
     rng: random.Random, n_letters: int, n_disjuncts: int, literals_per: int = 3
 ) -> list[dict[str, bool]]:

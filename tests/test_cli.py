@@ -264,6 +264,34 @@ class TestWatchCommand:
         assert code == 2
 
 
+class TestDurableCommands:
+    """``--wal`` on the query commands and ``recover`` on its log."""
+
+    def test_batch_wal_then_recover_and_compact(self, db_file, tmp_path,
+                                                capsys):
+        wal = str(tmp_path / "state.wal")
+        stream = tmp_path / "stream.txt"
+        stream.write_text(TestBatchCommand.STREAM.replace(
+            "retract: Reset(u3); u2 < u3\n", ""))
+        assert main(["batch", db_file, str(stream), "--wal", wal]) == 0
+        capsys.readouterr()
+        assert main(["recover", wal, "--json"]) == 0
+        recovered = json.loads(capsys.readouterr().out)
+        # the DB's 6 atoms plus the assert's 2; one seq mark for the
+        # one acknowledged write op (the batch)
+        assert recovered["atoms"] == 8
+        assert recovered["marks"] == 1
+        assert recovered["torn_bytes"] == 0
+        # a later command recovers the log: it sees the stream's write
+        assert main(["query", db_file, "Boot(a) & a < b & Reset(b)",
+                     "--wal", wal]) == 0
+        capsys.readouterr()
+        assert main(["recover", wal, "--compact"]) == 0
+        assert "compacted" in capsys.readouterr().out
+        assert main(["recover", wal, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["atoms"] == 8
+
+
 class TestRemoteStreamCommands:
     """``batch``/``watch`` over ``--connect`` report exactly what the
     local commands report for the same database and stream."""
@@ -287,32 +315,32 @@ retract: Off(p3, lamp)
 assert: Off(p3, lamp)
 """
 
-    def _run(self, tmp_path, capsys, argv, stream_text):
+    def _run(self, tmp_path, capsys, argv, stream_text, db_text=DB):
         from repro.api import Session
         from repro.server import ServerThread
         from repro.substrate.parser import parse_database
 
         db = tmp_path / "db.txt"
-        db.write_text(self.DB)
+        db.write_text(db_text)
         stream = tmp_path / "stream.txt"
         stream.write_text(stream_text)
         command, *rest = argv
         assert main([command, str(db), *rest, str(stream), "--json"]) == 0
         local = json.loads(capsys.readouterr().out)
-        thread = ServerThread(Session(parse_database(self.DB)))
+        thread = ServerThread(Session(parse_database(db_text)))
         host, port = thread.start()
         try:
             code = main([command, "-", *rest, str(stream), "--json",
                          "--connect", f"{host}:{port}"])
         finally:
             thread.shutdown()
-        assert code == 0
+        assert code == 0, capsys.readouterr().err
         return local, json.loads(capsys.readouterr().out)
 
     def test_batch_remote_equals_local(self, tmp_path, capsys):
         local, remote = self._run(tmp_path, capsys, ["batch"], self.BATCH)
         assert len(local["ops"]) == 7
-        assert remote["ops"] == local["ops"]
+        assert remote == local
 
     def test_watch_remote_equals_local(self, tmp_path, capsys):
         local, remote = self._run(
@@ -322,28 +350,32 @@ assert: Off(p3, lamp)
         assert len(local["steps"]) == 4
         assert any(step.get("added") for step in local["steps"])
         assert any(step.get("removed") for step in local["steps"])
-        assert remote["steps"] == local["steps"]
+        assert remote == local
 
-
-class TestBenchSessionCommand:
-    def test_bench_session_entailment(self, db_file, capsys):
-        code = main(
-            ["bench-session", db_file, "Boot(a) & a < b & Crash(b)",
-             "--repeat", "3"]
+    def test_watch_remote_orders_late_constants(self, tmp_path, capsys):
+        # 'p5' is labelled by the first write and ordered only by the
+        # second: the server, parsing each write on its own, must still
+        # see it order-sorted in the first
+        local, remote = self._run(
+            tmp_path, capsys, ["watch", self.JOIN, "--free-vars", "X"],
+            "assert: Off(p5, heater)\nassert: p2 < p5\n",
         )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "prepared:" in out and "results:   match" in out
+        assert local["steps"][2]["added"] == [["heater"]]
+        assert remote == local
 
-    def test_bench_session_answers(self, tmp_path, capsys):
-        path = tmp_path / "db3.txt"
-        path.write_text(TestAnswersCommand.DB3)
-        code = main(
-            ["bench-session", str(path), "On(s, x) & Off(t, x) & s < t",
-             "--free-vars", "x", "--repeat", "3"]
+    def test_watch_remote_resolves_stream_constants(self, tmp_path, capsys):
+        # 'red' exists only through the stream's writes: the watched
+        # query must name that constant, not bind a fresh variable
+        local, remote = self._run(
+            tmp_path, capsys, ["watch", "Tag(x) & Color(x, red)",
+                               "--free-vars", "x"],
+            "assert: Color(pear, red)\nassert: Color(apple, red)\n",
+            db_text="Tag(apple); Tag(pear); Color(apple, green)\n",
         )
-        out = capsys.readouterr().out
-        assert code == 0 and "results:   match" in out
+        steps = local["steps"]
+        assert steps[0]["answers"] == []
+        assert [s["added"] for s in steps[1:]] == [[["pear"]], [["apple"]]]
+        assert remote == local
 
 
 class TestErrorExitCode:
@@ -355,6 +387,19 @@ class TestErrorExitCode:
         (["query", "{db}", "Boot(a) | Crash(b)", "--method", "paths"],
          "ValueError"),
         (["query", "{missing}", "Boot(a)"], "FileNotFoundError"),
+        # misused flags are errors, not the "not entailed" verdict
+        (["query", "-", "Boot(a)", "--wal", "{missing}",
+          "--connect", "127.0.0.1:1"], "ValueError"),
+        (["query", "-", "Boot(a)", "--connect", "host:notaport"],
+         "ValueError"),
+        (["serve", "-", "--replica-of", "{missing}", "--wal", "{missing}"],
+         "ValueError"),
+        (["serve", "-", "--replica-of", "{missing}", "--workers", "2"],
+         "ValueError"),
+        (["serve", "-", "--replica-of", "{missing}", "--replica-wait", "0"],
+         "ValueError"),
+        # the database file is no write stream: its lines are reads
+        (["watch", "{db}", "Boot(a)", "{db}"], "ValueError"),
     ])
     def test_error_exits_2(self, db_file, tmp_path, capsys, argv, error):
         missing = str(tmp_path / "missing.txt")

@@ -43,6 +43,7 @@ from repro.server import (
     ClientError,
     ProtocolError,
     ReproClient,
+    ReproServer,
     ServerReplyError,
     ServerThread,
 )
@@ -123,6 +124,31 @@ class TestOps:
                 two.answers(handle=h1)
             assert err.value.type == "PayloadError"
             assert two.prepare("On(s, X)", ["X"]) == h1
+
+    def test_in_process_client_equals_socket_client(self, served):
+        # connect_local runs the same dispatch: the same replies (seq,
+        # errors and countermodels included) and the same watch events
+        _, host, port = served
+        ops = [
+            ("execute", {"query": "On(s, lamp) & Off(t, lamp) & s < t"}),
+            ("execute", {"query": "On(s, heater) & Off(t, lamp) & t < s",
+                         "countermodel": True}),
+            ("execute", {"query": "On(s, lamp)", "countermodel": "yes"}),
+            ("watch", {"query": JOIN, "free_vars": ["X"]}),
+            ("assert", {"facts": "Off(p4, heater); p2 < p4"}),
+            ("answers", {"query": JOIN, "free_vars": ["X"]}),
+            ("unwatch", {"watch": 1}),
+        ]
+        with ReproClient(host, port) as remote, \
+                ReproServer(_session()).connect_local() as local:
+            replies = []
+            for op, fields in ops:
+                replies.append(remote.call(op, check=False, **fields))
+                assert local.call(op, check=False, **fields) == replies[-1]
+            assert local.take_events() == remote.take_events() != []
+        assert replies[1]["countermodel"].startswith("<")
+        assert replies[2]["error"]["type"] == "PayloadError"
+        assert replies[6]["full_refreshes"] >= 1
 
     def test_mutations_change_later_reads(self, served):
         _, host, port = served

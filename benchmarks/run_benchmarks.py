@@ -45,9 +45,12 @@ from repro.algorithms.conjunctive import (  # noqa: E402
 from repro.algorithms.disjunctive import theorem53  # noqa: E402
 from itertools import product as iter_product  # noqa: E402
 
-from repro.algorithms.bruteforce import entails_bruteforce  # noqa: E402
+from repro.algorithms.bruteforce import (  # noqa: E402
+    OpenQuery,
+    entailment_sweep,
+    entails_bruteforce,
+)
 from repro.api import Session  # noqa: E402
-from repro.api.plan import prune_candidates_by_models  # noqa: E402
 from repro.core.entailment import entails, explain  # noqa: E402
 from repro.core.query import DisjunctiveQuery, as_dnf  # noqa: E402
 from repro.core.sorts import obj, objvar  # noqa: E402
@@ -687,8 +690,9 @@ def build_benchmarks(quick: bool, seed: int):
         gated_repeats,
     )
 
-    # the batched model sweep: many substituted candidate queries decided
-    # against one shared set of minimal-model tables
+    # the open-query model sweep: every candidate tuple of one open query
+    # decided on one grounding machine (naive: one substituted query per
+    # candidate, checked against each enumerated minimal model)
     rng = random.Random(seed + 47)
     sweep_db = random_nary_database(
         rng,
@@ -698,24 +702,21 @@ def build_benchmarks(quick: bool, seed: int):
         preds=(("B", 2),),
         edge_prob=0.35,
     )
-    sweep_base = as_dnf(
-        random_nary_query(rng, 2, 2, 1, preds=(("B", 2),))
+    sweep_open = OpenQuery(
+        as_dnf(random_nary_query(rng, 2, 2, 1, preds=(("B", 2),))),
+        (objvar("x0"),),
+        tuple((name,) for name in sorted(sweep_db.object_constants)),
     )
-    sweep_x = objvar("x0")
-    sweep_candidates = {}
-    for name in sorted(sweep_db.object_constants):
-        substituted = sweep_base.substitute({sweep_x: obj(name)})
-        sweep_candidates.setdefault(substituted, []).append(name)
 
     yield (
         "models/batched_sweep",
         {
             "order_consts": 6 if quick else 7,
-            "candidates": len(sweep_candidates),
+            "candidates": len(sweep_open.candidates),
         },
-        lambda db=sweep_db, cands=sweep_candidates: frozenset(
-            prune_candidates_by_models(db, cands)
-        ),
+        lambda db=sweep_db, oq=sweep_open: entailment_sweep(
+            db, (), open_queries=[oq]
+        )[oq],
         repeats,
     )
 

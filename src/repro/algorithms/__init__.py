@@ -2,6 +2,7 @@
 
 from repro.algorithms.bruteforce import (
     EntailmentWitness,
+    OpenQuery,
     count_countermodels,
     entailment_sweep,
     entails_bruteforce,
@@ -35,6 +36,7 @@ __all__ = [
     "bounded_width_entails_dag",
     "GroundingMachine",
     "MonadicFrontierMachine",
+    "OpenQuery",
     "count_countermodels",
     "entailment_sweep",
     "entails_bruteforce",

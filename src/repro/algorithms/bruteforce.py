@@ -18,6 +18,13 @@ which remains available under
 :func:`repro.substrate.reference.naive_mode` and anchors the
 differential suite in ``tests/test_models_engine.py``.
 
+Open queries (certain answers) do not substitute candidates into
+closed queries: :func:`entailment_sweep` takes them as
+:class:`OpenQuery` values, grounds each once with its answer variables
+free, and decides every candidate tuple as a start state of one shared
+:class:`~repro.core.modelengine.RegionDP`.  Under ``naive_mode`` they
+are substituted tuple by tuple, as the seed did.
+
 Every PTIME algorithm in :mod:`repro.algorithms` is validated against
 this oracle in the test suite.
 """
@@ -43,6 +50,7 @@ from repro.core.models import (
 from repro.core.ordergraph import OrderGraph
 from repro.core.query import DisjunctiveQuery, Query, as_dnf
 from repro.core.regions import RegionCacheHub
+from repro.core.sorts import Term, obj
 from repro.flexiwords.flexiword import Word
 from repro.substrate import reference
 
@@ -213,49 +221,92 @@ def iter_countermodels_nary(
         yield _materialize(db, dp, norm, blocks)
 
 
+@dataclass(frozen=True)
+class OpenQuery:
+    """An open query and the candidate answer tuples a sweep decides.
+
+    ``candidates`` are tuples of object-constant names, one per variable
+    of ``free_vars``; a candidate is a certain answer iff every minimal
+    model satisfies ``dnf`` with ``free_vars`` bound to it.
+    """
+
+    dnf: DisjunctiveQuery
+    free_vars: tuple[Term, ...]
+    candidates: tuple[tuple[str, ...], ...]
+
+    def substituted(self, candidate: tuple[str, ...]) -> DisjunctiveQuery:
+        """The closed query of one candidate tuple."""
+        mapping = {v: obj(c) for v, c in zip(self.free_vars, candidate)}
+        return self.dnf.substitute(mapping)
+
+
 def entailment_sweep(
     db: IndefiniteDatabase,
     queries: Iterable[DisjunctiveQuery],
     caches: RegionCacheHub | None = None,
     graph: OrderGraph | None = None,
     witness_queries: Iterable[DisjunctiveQuery] = (),
-) -> dict[DisjunctiveQuery, EntailmentWitness]:
+    open_queries: Iterable[OpenQuery] = (),
+) -> dict:
     """Decide many queries over ONE shared set of minimal-model tables.
 
-    The shared core of the batched model sweep
-    (:func:`repro.engine.batch.execute_many`) and of
-    :func:`repro.api.plan.prune_candidates_by_models`: every query is
-    decided against the same engine (one valid-block table per region
-    for the whole pool), with countermodels reconstructed only for the
-    queries in ``witness_queries``.  Queries are *not* normalized first
-    — semantically irrelevant for satisfaction, and it keeps parity with
-    the seed sweep, which checked the raw substituted queries.  Under
-    :func:`~repro.substrate.reference.naive_mode` this is the literal
-    seed sweep: one enumeration of the minimal models checking every
-    still-undecided query per model, stopping once all have failed.
+    The model-path core of :meth:`repro.api.plan.PreparedQuery.execute`
+    for open plans and of the batched model sweep
+    (:func:`repro.engine.batch.execute_many`): every query is decided
+    against the same engine (one valid-block table per region for the
+    whole pool).  Maps each closed query of ``queries`` to its
+    :class:`EntailmentWitness`, with a countermodel reconstructed only
+    for the queries in ``witness_queries``, and each :class:`OpenQuery`
+    to the frozenset of its candidates that are certain answers.  An
+    open query is decided on one :class:`GroundingMachine` over its
+    unsubstituted DNF: each candidate is a start state of one shared
+    :class:`~repro.core.modelengine.RegionDP`.  Queries are *not*
+    normalized first — semantically irrelevant for satisfaction, and it
+    keeps parity with the seed sweep, which checked the raw substituted
+    queries.  Under :func:`~repro.substrate.reference.naive_mode` this
+    is the literal seed sweep: every candidate is substituted into its
+    own closed query, and one enumeration of the minimal models checks
+    every still-undecided query per model, stopping once all have failed.
     """
     queries = list(dict.fromkeys(queries))
+    open_queries = list(dict.fromkeys(open_queries))
     if reference.NAIVE:
+        substituted = {
+            oq: {c: oq.substituted(c) for c in oq.candidates}
+            for oq in open_queries
+        }
+        pool = list(dict.fromkeys(
+            queries + [q for subs in substituted.values()
+                       for q in subs.values()]
+        ))
         counters: dict[DisjunctiveQuery, Structure] = {}
         for model in iter_minimal_models(db, graph=graph):
-            undecided = [q for q in queries if q not in counters]
+            undecided = [q for q in pool if q not in counters]
             if not undecided:
                 break
             for q in undecided:
                 if not structure_satisfies(model, q):
                     counters[q] = model
-        return {
+        out: dict = {
             q: EntailmentWitness(q not in counters, counters.get(q))
             for q in queries
         }
+        for oq, subs in substituted.items():
+            out[oq] = frozenset(
+                c for c, q in subs.items() if q not in counters
+            )
+        return out
     if graph is None:
         graph = db.graph()
     norm = graph.normalize()
     if not norm.consistent:
-        return {q: EntailmentWitness(True) for q in queries}
+        out = {q: EntailmentWitness(True) for q in queries}
+        for oq in open_queries:
+            out[oq] = frozenset(oq.candidates)
+        return out
     engine = engine_for(norm.graph, caches)
     want = set(witness_queries)
-    out: dict[DisjunctiveQuery, EntailmentWitness] = {}
+    out = {}
     for q in queries:
         machine = GroundingMachine(engine, db, norm.canon, as_dnf(q))
         dp = RegionDP(engine, machine)
@@ -268,4 +319,16 @@ def entailment_sweep(
             )
         else:
             out[q] = EntailmentWitness(False)
+    full = engine.full
+    for oq in open_queries:
+        if not oq.candidates:
+            out[oq] = frozenset()
+            continue
+        machine = GroundingMachine(
+            engine, db, norm.canon, oq.dnf, oq.free_vars
+        )
+        dp = RegionDP(engine, machine)
+        out[oq] = frozenset(
+            c for c in oq.candidates if dp.entailed(machine.start(c, full))
+        )
     return out

@@ -36,7 +36,13 @@ the state share one subtree evaluation):
   are strictly greater than earlier ones), so the machine state is just
   the bitmask of still-viable groundings — a grounding with every
   constraint resolved satisfies the query in *every* completion, and an
-  empty viable set falsifies it in every completion.
+  empty viable set falsifies it in every completion.  Steps are indexed
+  by constraint, not by grounding: each distinct constraint carries the
+  mask of the groundings containing it, and the masks a placement kills
+  or leaves unresolved are memoized per region.  An open query is
+  grounded once with its answer variables free; each grounding is tagged
+  with its answer binding, and every candidate tuple is one start state
+  of the same machine.
 """
 
 from __future__ import annotations
@@ -445,15 +451,25 @@ class _Join:
     proper atom the plan holds its ``(pred, arity)`` bucket key, the
     order mask its facts must carry (a term matches only values of its
     own sort), the probe on its first bound object argument (if any),
-    the position ops, and its first foreign constant (if any).
+    the position ops, its first foreign constant (if any), and the
+    ``'<'``/``'!='`` order atoms whose sides it is the first to bind all
+    of (a match putting both on one vertex is pruned there).
+    ``answers`` names the (object-sorted) answer variables of an open
+    query: they are ordinary slots of the join, and each grounding is
+    tagged with their values (``None`` for one the disjunct lacks).
     """
 
     __slots__ = (
         "facts", "atoms", "n_slots", "consts", "loose", "order_ops",
-        "order_foreign",
+        "order_foreign", "answer_slots",
     )
 
-    def __init__(self, cq: ConjunctiveQuery, facts: FactIndex) -> None:
+    def __init__(
+        self,
+        cq: ConjunctiveQuery,
+        facts: FactIndex,
+        answers: Sequence[Term] = (),
+    ) -> None:
         self.facts = facts
         slots: dict[Term, int] = {}
         atoms = []
@@ -493,7 +509,6 @@ class _Join:
                 # the probe already guarantees its own position
                 ops = [op for op in ops if op[0] != probe[0][2]]
             atoms.append((key, order_mask, probe, tuple(ops), foreign))
-        self.atoms = atoms
         in_proper = set(slots)
         loose = sorted(
             {
@@ -529,12 +544,30 @@ class _Join:
         self.order_ops = order_ops
         self.consts = consts
         self.n_slots = len(slots)
+        # A '<' or '!=' between one vertex kills every leaf below, so it
+        # is tested at the first atom binding both sides -- unless a
+        # foreign constant of some atom must still raise from below.
+        level = dict.fromkeys(consts, 0)
+        for i, (_, _, _, ops, _) in enumerate(atoms):
+            level.update((slot, i) for _, op, slot in ops if op == _BIND)
+        dead: list[list[tuple[int, int]]] = [[] for _ in atoms]
+        if all(foreign is None for *_, foreign in atoms):
+            for kind, ls, rs in order_ops:
+                if kind != _LE and ls in level and rs in level:
+                    dead[max(level[ls], level[rs])].append((ls, rs))
+        self.atoms = [
+            atom + (tuple(pairs),) for atom, pairs in zip(atoms, dead)
+        ]
+        # object variables occur only in proper atoms, so every answer
+        # slot is bound by the time a proper match reaches the leaves
+        self.answer_slots = tuple(slots.get(v, -1) for v in answers)
 
     def run(self, n_verts: int, seen: dict) -> None:
-        """Add each satisfying proper-match × loose-assignment, as a
-        frozenset of ``(u, v, kind)`` vertex-pair constraints, to ``seen``
-        in depth-first order (proper atoms in query order, facts in
-        sorted order, loose variables by name)."""
+        """Add each satisfying proper-match × loose-assignment to ``seen``
+        as ``(binding, pairs)``: the answer-variable values and the
+        frozenset of ``(u, v, kind)`` vertex-pair constraints, in
+        depth-first order (proper atoms in query order, facts in sorted
+        order, loose variables by name)."""
         env: list = [None] * self.n_slots
         for slot, vid in self.consts.items():
             env[slot] = vid
@@ -543,10 +576,15 @@ class _Join:
         atoms, n_atoms = self.atoms, len(self.atoms)
         loose, order_ops = self.loose, self.order_ops
         order_foreign = self.order_foreign
+        answer_slots = self.answer_slots
         verts = range(n_verts)
 
         def leaves() -> None:
-            for combo in iter_product(verts, repeat=len(loose)):
+            binding = tuple(
+                [None if slot < 0 else env[slot] for slot in answer_slots]
+            )
+            combos = iter_product(verts, repeat=len(loose)) if loose else ((),)
+            for combo in combos:
                 for slot, vid in zip(loose, combo):
                     env[slot] = vid
                 pairs: set[tuple[int, int, int]] = set()
@@ -566,13 +604,13 @@ class _Join:
                         raise KeyError(_FOREIGN.format(name=order_foreign))
                     for x, y in eqs:
                         pairs.add((x, y, _EQ) if x < y else (y, x, _EQ))
-                    seen.setdefault(frozenset(pairs), None)
+                    seen.setdefault((binding, frozenset(pairs)), None)
 
         def match(i: int) -> None:
             if i == n_atoms:
                 leaves()
                 return
-            key, order_mask, probe, ops, foreign = atoms[i]
+            key, order_mask, probe, ops, foreign, dead = atoms[i]
             if foreign is not None:
                 # a foreign constant matches no fact; it raises as soon as
                 # some fact agrees with every position before it
@@ -610,7 +648,11 @@ class _Join:
                     elif arg != value:  # _CONST
                         break
                 else:
-                    match(i + 1)
+                    for ls, rs in dead:
+                        if env[ls] == env[rs]:
+                            break
+                    else:
+                        match(i + 1)
                 del eqs[mark:]
 
         match(0)
@@ -651,9 +693,33 @@ class GroundingMachine:
     state is the bitmask of groundings with no failed constraint; a
     viable grounding whose constraints are all resolved satisfies the
     query in every completion.
+
+    The grounding list is inverted into one entry per distinct
+    constraint carrying the mask of the groundings that contain it, so
+    a step never walks a grounding: placing ``block`` in ``region``
+    clears the groundings of every constraint the placement violates
+    (one mask per ``(region, block)``), and a state settles to
+    :data:`SATISFIED` when it keeps a grounding outside the mask of
+    constraints still unresolved in the remaining region (one mask per
+    region).  Both masks are memoized on the machine, so they are shared
+    by every state that reaches the same step.
+
+    **Open queries** — with ``free_vars`` the disjuncts are joined with
+    the answer variables as ordinary slots, and :attr:`answers` maps
+    each answer binding to the mask of its groundings (``None`` marks a
+    variable the disjunct does not bind: those groundings hold for every
+    candidate).  :meth:`start` turns one candidate tuple into its
+    initial state: the groundings of the substituted query, so it has
+    exactly the completions a machine built for that query would start
+    from.  The step masks do not depend on the candidate, so one
+    :class:`~repro.core.modelengine.RegionDP` decides every candidate
+    over one shared memo.
     """
 
-    __slots__ = ("groundings", "pair_lists")
+    __slots__ = (
+        "groundings", "answers", "_patterns", "_incident", "_pairs",
+        "_kills", "_unresolved",
+    )
 
     def __init__(
         self,
@@ -661,19 +727,38 @@ class GroundingMachine:
         db: IndefiniteDatabase,
         canon: Mapping[str, str],
         dnf: DisjunctiveQuery,
+        free_vars: Sequence[Term] = (),
     ) -> None:
         facts = fact_index(engine, db, canon)
-        seen: dict[frozenset, None] = {}
+        seen: dict[tuple, None] = {}
+        patterns: set[tuple[bool, ...]] = set()
         for cq in dnf.disjuncts:
-            _Join(cq, facts).run(engine.n, seen)
-        self.groundings = list(seen)
-        self.pair_lists = [
-            tuple(
-                (1 << u, 1 << v, kind, (1 << u) | (1 << v))
-                for u, v, kind in pairs
-            )
-            for pairs in self.groundings
-        ]
+            join = _Join(cq, facts, free_vars)
+            join.run(engine.n, seen)
+            patterns.add(tuple(slot >= 0 for slot in join.answer_slots))
+        index: dict[frozenset, int] = {}
+        answers: dict[tuple, int] = {}
+        owners: dict[tuple[int, int, int], int] = {}
+        for binding, pairs in seen:
+            gi = index.get(pairs)
+            if gi is None:
+                gi = index[pairs] = len(index)
+                for pair in pairs:
+                    owners[pair] = owners.get(pair, 0) | 1 << gi
+            answers[binding] = answers.get(binding, 0) | 1 << gi
+        self.groundings = list(index)
+        self.answers = answers
+        self._patterns = patterns
+        incident: list[list[tuple]] = [[] for _ in range(engine.n)]
+        for (u, v, kind), mask in owners.items():
+            entry = (1 << u, 1 << v, kind, (1 << u) | (1 << v), mask)
+            incident[u].append(entry)
+            incident[v].append(entry)
+        self._incident = incident
+        self._pairs = [((1 << u) | (1 << v), mask)
+                       for (u, v, _kind), mask in owners.items()]
+        self._kills: dict[tuple[int, int], int] = {}
+        self._unresolved: dict[int, int] = {}
 
     # -- the machine protocol ----------------------------------------------
 
@@ -683,20 +768,57 @@ class GroundingMachine:
         viable = (1 << len(self.groundings)) - 1
         return self._settle(viable, full_region)
 
+    def start(self, candidate: tuple, full_region: int):
+        """The initial state of one candidate answer tuple (values for
+        ``free_vars``, in order): its groundings, settled."""
+        answers = self.answers
+        viable = 0
+        for pattern in self._patterns:
+            key = tuple(
+                [value if bound else None
+                 for value, bound in zip(candidate, pattern)]
+            )
+            viable |= answers.get(key, 0)
+        if viable == 0:
+            return ALL_FAIL
+        return self._settle(viable, full_region)
+
     def advance(self, state, region: int, block: int):
-        after = region & ~block
-        pair_lists = self.pair_lists
-        viable = state
-        m = state
+        try:
+            kill = self._kills[region, block]
+        except KeyError:
+            kill = self._kill(region, block)
+        viable = state & ~kill
+        if viable == 0:
+            return ALL_FAIL
+        return self._settle(viable, region & ~block)
+
+    def _settle(self, viable: int, region: int):
+        """SATISFIED when some viable grounding has no unresolved pair."""
+        try:
+            unresolved = self._unresolved[region]
+        except KeyError:
+            unresolved = 0
+            for both, mask in self._pairs:
+                if both & region == both:
+                    unresolved |= mask
+            self._unresolved[region] = unresolved
+        if viable & ~unresolved:
+            return SATISFIED
+        return viable
+
+    def _kill(self, region: int, block: int) -> int:
+        """The groundings a constraint violated by placing ``block`` as
+        the next point of ``region`` rules out (memoized)."""
+        kill = 0
+        incident = self._incident
+        m = block
         while m:
             low = m & -m
-            gi = low.bit_length() - 1
             m ^= low
-            for ubit, vbit, kind, both in pair_lists[gi]:
+            for ubit, vbit, kind, both, mask in incident[low.bit_length() - 1]:
                 if both & region != both:
                     continue  # resolved by an earlier block
-                if not (both & block):
-                    continue  # both endpoints still unsorted
                 if ubit & block:
                     if vbit & block:  # same block: equal points
                         ok = kind == _EQ or kind == _LE
@@ -705,20 +827,6 @@ class GroundingMachine:
                 else:  # v now, u strictly later: only '!=' survives
                     ok = kind == _NE
                 if not ok:
-                    viable &= ~low
-                    break
-        if viable == 0:
-            return ALL_FAIL
-        return self._settle(viable, after)
-
-    def _settle(self, viable: int, region: int):
-        """SATISFIED when some viable grounding has no unresolved pair."""
-        pair_lists = self.pair_lists
-        m = viable
-        while m:
-            low = m & -m
-            gi = low.bit_length() - 1
-            m ^= low
-            if all(p[3] & region != p[3] for p in pair_lists[gi]):
-                return SATISFIED
-        return viable
+                    kill |= mask
+        self._kills[region, block] = kill
+        return kill

@@ -31,10 +31,10 @@ across database mutations.
 Open queries (``free_vars``) compile to a single plan executed over all
 candidate substitutions: the monadic-split case memoizes the order-part
 verdict per surviving-disjunct set (the object part is the only piece a
-substitution can change), and the n-ary case inverts the loop —
-minimal models are enumerated once and each model prunes every
-still-candidate tuple — instead of re-enumerating models per tuple as
-the one-shot ``certain_answers`` does.
+substitution can change), and the n-ary case grounds the query once
+with the free variables as join slots and decides every candidate
+tuple on that one grounding machine, instead of re-enumerating models
+per tuple as the one-shot ``certain_answers`` does.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from itertools import product as iter_product
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.algorithms.bruteforce import (
+    OpenQuery,
     entailment_sweep,
     entails_bruteforce,
     entails_bruteforce_monadic,
@@ -175,22 +176,20 @@ def prune_candidates_by_models(
     caches: RegionCacheHub | None = None,
     graph: OrderGraph | None = None,
 ) -> set:
-    """One minimal-model sweep deciding many candidates at once.
+    """One minimal-model sweep deciding many closed candidates at once.
 
     ``candidates`` maps each substituted (ground-in-the-object-sort)
     query to the opaque tokens that stand or fall with it; a token
-    survives iff every minimal model of ``db`` satisfies its query.
-    This is the shared core of the per-plan
-    :meth:`PreparedQuery._model_answers_for` sweep and of
-    :func:`repro.engine.batch.execute_many`, which pools the candidates
-    of *every* model-path plan in a batch (tokens from different
-    requests that substitute to the same query are deduplicated by the
+    survives iff every minimal model of ``db`` satisfies its query
+    (tokens listed under several queries are deduplicated by the
     mapping itself).  All queries are decided by
     :func:`~repro.algorithms.bruteforce.entailment_sweep` against one
     shared set of region/block tables (under
     :func:`~repro.substrate.reference.naive_mode`: one literal
     enumeration of the minimal models, stopping early once every query
-    has failed).
+    has failed).  Open plans do not substitute: they hand their DNF and
+    candidate tuples to the sweep as one
+    :class:`~repro.algorithms.bruteforce.OpenQuery`.
     """
     outcome = entailment_sweep(db, candidates.keys(), caches, graph)
     surviving: set = set()
@@ -997,42 +996,30 @@ class PreparedQuery:
                 answers.add(combo)
         return frozenset(answers)
 
-    def candidate_queries(
-        self, static: StaticPlan, combos: Iterable[tuple[str, ...]]
-    ) -> dict[DisjunctiveQuery, list[tuple[str, ...]]]:
-        """Group candidate tuples by their substituted query.
-
-        Tuples whose substitutions coincide are decided together; the
-        batch engine merges these maps across plans before a combined
-        :func:`prune_candidates_by_models` sweep.
-        """
-        groups: dict[DisjunctiveQuery, list[tuple[str, ...]]] = {}
-        for combo in combos:
-            mapping = {v: obj(c) for v, c in zip(self.free_vars, combo)}
-            groups.setdefault(static.dnf.substitute(mapping), []).append(combo)
-        return groups
-
     def _model_answers_for(
         self,
         static: StaticPlan,
         ctx: ExecutionContext,
         combos: Iterable[tuple[str, ...]],
     ) -> frozenset[tuple[str, ...]]:
-        """General case: one model enumeration prunes all candidates.
+        """General case: one grounding machine decides all candidates.
 
         A tuple is a certain answer iff every minimal model satisfies
-        its substituted query; enumerating the models once (instead of
-        once per tuple) and checking each still-candidate substitution
-        against each model decides all tuples in a single sweep.
+        its substituted query.  :func:`entailment_sweep` grounds the
+        plan's DNF once with the free variables as join slots and
+        decides each tuple as a start state of one shared region walk.
         """
-        return frozenset(
-            prune_candidates_by_models(
-                ctx.db,
-                self.candidate_queries(static, combos),
-                ctx.hub,
-                ctx.graph,
-            )
-        )
+        open_query = self.open_query(static, combos)
+        return entailment_sweep(
+            ctx.db, (), ctx.hub, ctx.graph, open_queries=(open_query,)
+        )[open_query]
+
+    def open_query(
+        self, static: StaticPlan, combos: Iterable[tuple[str, ...]]
+    ) -> OpenQuery:
+        """This plan's model-path question over the candidate ``combos``
+        (the batch engine pools these across plans into one sweep)."""
+        return OpenQuery(static.dnf, self.free_vars, tuple(combos))
 
     def _fallback_answers_for(
         self, combos: Iterable[tuple[str, ...]]

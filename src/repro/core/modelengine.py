@@ -24,12 +24,13 @@ mask-level ideas:
   falsifies the query (and how many do).  The satisfaction state is
   supplied by a *machine* (see :mod:`repro.algorithms.modelcheck`):
   the monadic machine carries the earliest-feasible-point frontier of each
-  query dag, the n-ary machine the still-viable grounding set of the
-  candidate pool.  Machines signal the two absorbing outcomes with the
-  :data:`SATISFIED` / :data:`ALL_FAIL` sentinels, which let entailment,
-  countermodel counting and countermodel enumeration short-circuit whole
-  subtrees (``ALL_FAIL`` regions contribute ``count(region)`` falsifying
-  models in one arithmetic step, with the witness materialized lazily).
+  query dag, the n-ary machine the still-viable grounding set (of one
+  query, or of one candidate answer tuple of an open query).  Machines
+  signal the two absorbing outcomes with the :data:`SATISFIED` /
+  :data:`ALL_FAIL` sentinels, which let entailment, countermodel
+  counting and countermodel enumeration short-circuit whole subtrees
+  (``ALL_FAIL`` regions contribute ``count(region)`` falsifying models
+  in one arithmetic step, with the witness materialized lazily).
 
 Regions are plain ``int`` bitmasks over the engine's vertex interning.
 A :class:`ModelEngine` is purely structural (it depends only on the
@@ -349,9 +350,13 @@ class RegionDP:
         self._fails[key] = result
         return result
 
-    def entailed(self) -> bool:
-        """True when every minimal model satisfies the query."""
-        return not self.fails(self.engine.full, self._init)
+    def entailed(self, state=None) -> bool:
+        """True when every minimal model satisfies the query: from the
+        machine's initial state, or from ``state`` (one candidate's
+        start on a machine that decides many, which share this memo)."""
+        if state is None:
+            state = self._init
+        return not self.fails(self.engine.full, state)
 
     def countermodel_blocks(self) -> tuple[int, ...] | None:
         """The DFS-first falsifying block sequence (the seed's first

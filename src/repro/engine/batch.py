@@ -13,14 +13,13 @@ and many sharing the expensive part of their evaluation.
   in the group;
 * **a combined minimal-model sweep** — every query that takes the
   model-enumeration path needs a pass over the minimal models of the
-  database: open plans one per candidate substitution, *closed*
-  bruteforce-path plans one per query ("does every model satisfy?").
-  In a batch, all such plan groups pool into one
-  :func:`~repro.algorithms.bruteforce.entailment_sweep`: the region/
-  valid-block tables are built *once for the whole batch*, candidate
-  tuples from different requests that substitute to the same ground
-  query are deduplicated and decided together, and closed queries ride
-  the same sweep with their countermodels reconstructed from it.
+  database: open plans one grounding machine deciding all their
+  candidate tuples, *closed* bruteforce-path plans one per query ("does
+  every model satisfy?").  In a batch, all such plan groups pool into
+  one :func:`~repro.algorithms.bruteforce.entailment_sweep`: the
+  region/valid-block tables are built *once for the whole batch*, and
+  closed queries ride the same sweep with their countermodels
+  reconstructed from it.
 
 :func:`execute_stream` extends this to mixed read/write traffic: maximal
 runs of reads between two writes form one batch, and writes are applied
@@ -216,42 +215,36 @@ def execute_many(
                 results[i] = result
     else:
         # Pool every model-path plan into ONE sweep over shared minimal-
-        # model tables.  Open plans contribute their candidate tuples'
-        # substituted queries; closed plans contribute their DNF directly
-        # (identical substituted queries from different plans merge into
-        # one satisfiability check).  Closed verdicts come back with the
-        # sweep's countermodel witness — the same DFS-first witness a
-        # solo `entails_bruteforce` reconstructs — and every result
-        # carries the method tag its plan's own execution would have.
+        # model tables.  Open plans contribute their DNF and candidate
+        # tuples (one grounding machine each, deciding every tuple);
+        # closed plans contribute their DNF directly (identical DNFs from
+        # different plans merge into one satisfiability check).  Closed
+        # verdicts come back with the sweep's countermodel witness — the
+        # same DFS-first witness a solo `entails_bruteforce` reconstructs
+        # — and every result carries the method tag its plan's own
+        # execution would have.
         base = session.context()
-        per_plan: list[tuple[list[int], PreparedQuery, dict]] = []
-        queries: set = set()
+        per_plan = []
         for indices, plan in open_pool:
             static, ctx = plan._bind()
-            domain = ctx.object_domain
-            combos = iter_product(domain, repeat=len(plan.free_vars))
-            groups_of = plan.candidate_queries(static, combos)
-            per_plan.append((indices, plan, groups_of))
-            queries.update(groups_of)
+            combos = iter_product(
+                ctx.object_domain, repeat=len(plan.free_vars)
+            )
+            per_plan.append((indices, plan.open_query(static, combos)))
         closed_queries: dict = {}
         for indices, plan in closed_pool:
             static, _ctx = plan._bind()
             closed_queries.setdefault(static.dnf, []).append(indices)
-        queries.update(closed_queries)
         outcome = entailment_sweep(
             base.db,
-            queries,
+            closed_queries,
             caches=base.hub,
             graph=base.graph,
             witness_queries=closed_queries,
+            open_queries=[open_query for _, open_query in per_plan],
         )
-        for indices, _plan, groups_of in per_plan:
-            answers = frozenset(
-                combo
-                for q, combos in groups_of.items()
-                if outcome[q].holds
-                for combo in combos
-            )
+        for indices, open_query in per_plan:
+            answers = outcome[open_query]
             result = Result(bool(answers), "prepared-models", answers=answers)
             for i in indices:
                 results[i] = result

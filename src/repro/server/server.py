@@ -77,7 +77,6 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
-import signal
 import threading
 import time
 from contextlib import suppress
@@ -223,13 +222,25 @@ class _Connection:
         self.watches.clear()
 
 
+async def _close_writer(writer) -> None:
+    """Close a connection's stream and wait, bounded, for its socket to
+    be released.  The event loop may stop right after a drain: a close
+    still pending then never flushes, and the socket leaks open but
+    silent instead of giving the client EOF."""
+    try:
+        writer.close()
+        await asyncio.wait_for(writer.wait_closed(), 5)
+    except Exception:  # pragma: no cover - peer already gone
+        pass
+
+
 class ReproServer:
     """One shared session behind a length-prefixed-JSON socket protocol.
 
     Construct with a live session (optionally WAL-attached), call
-    :meth:`start` inside a running event loop, and either
-    :meth:`run` (installs signal handlers, returns after drain) or
-    await :meth:`wait_drained` yourself.  ``workers > 1`` routes read
+    :meth:`start` inside a running event loop, then await
+    :meth:`wait_drained` (``repro serve`` also installs SIGTERM/SIGINT
+    handlers that call :meth:`drain`).  ``workers > 1`` routes read
     batches and ``batch`` streams over a persistent
     :class:`~repro.engine.pool.DaemonPool`.
 
@@ -377,19 +388,6 @@ class ReproServer:
         )
         return self
 
-    async def run(self) -> None:
-        """Start, serve until SIGTERM/SIGINT, drain, return."""
-        await self.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(self.drain())
-                )
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-        await self.wait_drained()
-
     async def wait_drained(self) -> None:
         assert self._drained is not None, "server not started"
         await self._drained.wait()
@@ -406,8 +404,8 @@ class ReproServer:
         self._draining = True
         log.info("drain: refusing new connections, finishing queued ops")
         assert self._server is not None and self._queue is not None
+        # stop accepting; the accepted connections are closed below
         self._server.close()
-        await self._server.wait_closed()
         # Everything queued before the sentinel still executes and
         # replies; readers see _draining and refuse later frames.
         self._queue.put_nowait(None)
@@ -429,14 +427,11 @@ class ReproServer:
                     await asyncio.wait_for(conn.writer_task, 30)
                 except asyncio.TimeoutError:  # pragma: no cover
                     conn.writer_task.cancel()
-            try:
-                conn.writer.close()
-                # the loop dies right after drain returns: without this
-                # wait the close never flushes and clients see a socket
-                # that is open but forever silent instead of EOF
-                await asyncio.wait_for(conn.writer.wait_closed(), 5)
-            except Exception:  # pragma: no cover
-                pass
+            await _close_writer(conn.writer)
+        # Python 3.12.1+ waits here until every accepted connection has
+        # closed, so this cannot come before the loop above
+        with suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(self._server.wait_closed(), 5)
         log.info(
             "drained: %d requests (%d errors) over %d connections",
             self.stats["requests"] + self.stats["errors"],
@@ -449,7 +444,7 @@ class ReproServer:
 
     async def _on_connect(self, reader, writer) -> None:
         if self._draining:
-            writer.close()
+            await _close_writer(writer)
             return
         conn = _Connection(self, reader, writer, next(self._conn_ids))
         self._conns.add(conn)
@@ -462,6 +457,9 @@ class ReproServer:
             # still owed before closing our side
             await conn.wait_idle()
         finally:
+            # Once draining, drain() owns every registered connection: it
+            # flushes what the engine still owes it, then closes it.  The
+            # connection stays registered so drain() cannot miss it.
             if not self._draining:
                 conn.close_watches()
                 conn.outbox.put_nowait(None)
@@ -470,12 +468,9 @@ class ReproServer:
                         await asyncio.wait_for(conn.writer_task, 30)
                     except asyncio.TimeoutError:  # pragma: no cover
                         conn.writer_task.cancel()
-                try:
-                    conn.writer.close()
-                except Exception:  # pragma: no cover
-                    pass
-            self._conns.discard(conn)
-            log.debug("conn %d: closed", conn.cid)
+                await _close_writer(conn.writer)
+                self._conns.discard(conn)
+                log.debug("conn %d: closed", conn.cid)
 
     async def _reader_loop(self, conn: _Connection) -> None:
         while True:

@@ -682,6 +682,44 @@ class TestDrain:
         with pytest.raises(OSError):
             ReproClient(host, port, timeout=2.0)
 
+    def test_connection_ending_mid_drain_is_closed(self):
+        """A client that hangs up while the server drains still gets its
+        server-side socket closed before the drain returns (a connection
+        handler that ended mid-drain used to leave drain() nothing to
+        close, leaking an open transport past the loop's end)."""
+        import asyncio
+
+        from repro.server.protocol import encode_frame, read_frame_async
+
+        async def scenario():
+            server = ReproServer(_session(), "127.0.0.1", 0)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(encode_frame({"op": "ping", "id": 1}))
+            assert (await read_frame_async(reader))["pong"] is True
+            (conn,) = server._conns
+            # hold the drain between refusing new work and closing the
+            # connections, long enough for the handler to see the EOF
+            engine = server._engine_task
+
+            async def slow_engine():
+                await engine
+                await asyncio.sleep(0.2)
+
+            server._engine_task = asyncio.create_task(slow_engine())
+            drain = asyncio.create_task(server.drain())
+            await asyncio.sleep(0)
+            assert server._draining
+            writer.close()
+            await drain
+            closed = conn.writer.transport.is_closing()
+            await writer.wait_closed()
+            return closed
+
+        assert asyncio.run(scenario())
+
     def test_drain_flushes_group_commit_wal(self, tmp_path):
         path = str(tmp_path / "serve.wal")
         session = _session()

@@ -690,6 +690,51 @@ def build_benchmarks(quick: bool, seed: int):
         gated_repeats,
     )
 
+    # n-ary entailment over a densely ordered database: the order graph
+    # refutes most groundings of the queries' order atoms, which the
+    # closure-aware join drops before the region DP sees them
+    rng = random.Random(seed + 53)
+    dense_db = random_nary_database(
+        rng,
+        n_order=7 if quick else 8,
+        n_objects=3,
+        n_facts=12 if quick else 16,
+        preds=(("B", 2), ("C", 3)),
+        edge_prob=0.6,
+        le_prob=0.3,
+        neq_prob=0.15,
+    )
+    dense_queries = [
+        DisjunctiveQuery(
+            tuple(
+                random_nary_query(
+                    rng, 3, 3, 1, preds=(("B", 2), ("C", 3)),
+                    order_atom_prob=0.8, neq_prob=0.3,
+                )
+                for _ in range(2)
+            )
+        )
+        for _ in range(6)
+    ]
+
+    def refuting_join(db=dense_db, queries=dense_queries):
+        out = []
+        for query in queries:
+            r = entails_bruteforce(db, query)
+            out.append((r.holds, r.countermodel))
+        return out
+
+    yield (
+        "models/refuting_join",
+        {
+            "order_consts": 7 if quick else 8,
+            "facts": 12 if quick else 16,
+            "queries": len(dense_queries),
+        },
+        refuting_join,
+        repeats,
+    )
+
     # the open-query model sweep: every candidate tuple of one open query
     # decided on one grounding machine (naive: one substituted query per
     # candidate, checked against each enumerated minimal model)

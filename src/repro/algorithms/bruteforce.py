@@ -42,10 +42,11 @@ from repro.algorithms.modelcheck import (
 from repro.core.database import IndefiniteDatabase, LabeledDag
 from repro.core.modelengine import RegionDP, engine_for
 from repro.core.models import (
+    DeferredStructure,
+    LazyModel,
     Structure,
     iter_minimal_models,
     iter_minimal_words,
-    structure_from_blocks,
 )
 from repro.core.ordergraph import OrderGraph
 from repro.core.query import DisjunctiveQuery, Query, as_dnf
@@ -63,11 +64,13 @@ class EntailmentWitness:
         holds: True when the database entails the query.
         countermodel: a minimal model falsifying the query when one exists
             (a :class:`Structure`, or a :class:`Word` from the monadic fast
-            path); None when the query is entailed.
+            path); None when the query is entailed.  The n-ary procedures
+            record the model's block sequence and build the
+            :class:`Structure` on first access (see :class:`LazyModel`).
     """
 
     holds: bool
-    countermodel: Structure | Word | None = None
+    countermodel: Structure | Word | None = LazyModel()
 
     def __bool__(self) -> bool:
         return self.holds
@@ -80,7 +83,8 @@ def _nary_dp(
     graph: OrderGraph | None,
 ):
     """``(norm, RegionDP)`` for an n-ary query, or ``(norm, None)`` when
-    the database has no minimal models (everything is entailed)."""
+    it is entailed without a walk: the database has no minimal models, or
+    the grounding join already found a grounding with no constraint left."""
     if graph is None:
         graph = db.graph()
     norm = graph.normalize()
@@ -88,14 +92,14 @@ def _nary_dp(
         return norm, None
     engine = engine_for(norm.graph, caches)
     machine = GroundingMachine(engine, db, norm.canon, dnf)
+    if machine.entailed:
+        return norm, None
     return norm, RegionDP(engine, machine)
 
 
-def _materialize(db, dp, norm, blocks) -> Structure:
+def _countermodel(db, dp, norm, blocks) -> DeferredStructure:
     names = dp.engine.names
-    return structure_from_blocks(
-        db, tuple(names(b) for b in blocks), norm.canon
-    )
+    return DeferredStructure(db, tuple(names(b) for b in blocks), norm.canon)
 
 
 def entails_bruteforce(
@@ -123,7 +127,7 @@ def entails_bruteforce(
     if dp is None or dp.entailed():
         return EntailmentWitness(True)
     blocks = dp.countermodel_blocks()
-    return EntailmentWitness(False, _materialize(db, dp, norm, blocks))
+    return EntailmentWitness(False, _countermodel(db, dp, norm, blocks))
 
 
 def entails_bruteforce_monadic(
@@ -218,7 +222,7 @@ def iter_countermodels_nary(
     if dp is None:
         return
     for blocks in dp.iter_failing_sequences():
-        yield _materialize(db, dp, norm, blocks)
+        yield _countermodel(db, dp, norm, blocks).build()
 
 
 @dataclass(frozen=True)
@@ -309,13 +313,16 @@ def entailment_sweep(
     out = {}
     for q in queries:
         machine = GroundingMachine(engine, db, norm.canon, as_dnf(q))
+        if machine.entailed:
+            out[q] = EntailmentWitness(True)
+            continue
         dp = RegionDP(engine, machine)
         if dp.entailed():
             out[q] = EntailmentWitness(True)
         elif q in want:
             blocks = dp.countermodel_blocks()
             out[q] = EntailmentWitness(
-                False, _materialize(db, dp, norm, blocks)
+                False, _countermodel(db, dp, norm, blocks)
             )
         else:
             out[q] = EntailmentWitness(False)

@@ -39,10 +39,12 @@ the state share one subtree evaluation):
   empty viable set falsifies it in every completion.  Steps are indexed
   by constraint, not by grounding: each distinct constraint carries the
   mask of the groundings containing it, and the masks a placement kills
-  or leaves unresolved are memoized per region.  An open query is
-  grounded once with its answer variables free; each grounding is tagged
-  with its answer binding, and every candidate tuple is one start state
-  of the same machine.
+  or leaves unresolved are memoized per region.  The join reads the
+  database's order closure: groundings the graph refutes never enter the
+  list, and constraints it entails are left out of each grounding.  An
+  open query is grounded once with its answer variables free; each
+  grounding is tagged with its answer binding, and every candidate tuple
+  is one start state of the same machine.
 """
 
 from __future__ import annotations
@@ -53,7 +55,12 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.core.atoms import ProperAtom, Rel
 from repro.core.database import IndefiniteDatabase, LabeledDag
-from repro.core.modelengine import ALL_FAIL, SATISFIED, ModelEngine
+from repro.core.modelengine import (
+    ALL_FAIL,
+    SATISFIED,
+    ClosureRows,
+    ModelEngine,
+)
 from repro.core.models import Structure
 from repro.core.query import (
     ConjunctiveQuery,
@@ -452,16 +459,19 @@ class _Join:
     order mask its facts must carry (a term matches only values of its
     own sort), the probe on its first bound object argument (if any),
     the position ops, its first foreign constant (if any), and the
-    ``'<'``/``'!='`` order atoms whose sides it is the first to bind all
-    of (a match putting both on one vertex is pruned there).
-    ``answers`` names the (object-sorted) answer variables of an open
-    query: they are ordinary slots of the join, and each grounding is
-    tagged with their values (``None`` for one the disjunct lacks).
+    order atoms whose sides it is the first to bind all of: a match the
+    order graph refutes one of them for is pruned there (see
+    :meth:`run`).  ``answers`` names the (object-sorted) answer
+    variables of an open query: they are ordinary slots of the join,
+    and each grounding is tagged with their values (``None`` for one
+    the disjunct lacks).  ``foreign`` is set when some atom holds a
+    constant the database does not interpret, ``ordered`` when a
+    grounding can carry a constraint at all.
     """
 
     __slots__ = (
         "facts", "atoms", "n_slots", "consts", "loose", "order_ops",
-        "order_foreign", "answer_slots",
+        "order_foreign", "answer_slots", "foreign", "ordered",
     )
 
     def __init__(
@@ -544,40 +554,83 @@ class _Join:
         self.order_ops = order_ops
         self.consts = consts
         self.n_slots = len(slots)
-        # A '<' or '!=' between one vertex kills every leaf below, so it
-        # is tested at the first atom binding both sides -- unless a
+        proper_foreign = any(foreign is not None for *_, foreign in atoms)
+        self.foreign = proper_foreign or self.order_foreign is not None
+        #: does any grounding carry a constraint (the closure has work)?
+        self.ordered = bool(order_ops) or any(
+            op in (_EQ_SLOT, _EQ_CONST)
+            for _, _, _, ops, _ in atoms
+            for _, op, _ in ops
+        )
+        # An order atom the placement refutes kills every leaf below, so
+        # it is tested at the first atom binding both sides -- unless a
         # foreign constant of some atom must still raise from below.
         level = dict.fromkeys(consts, 0)
         for i, (_, _, _, ops, _) in enumerate(atoms):
             level.update((slot, i) for _, op, slot in ops if op == _BIND)
-        dead: list[list[tuple[int, int]]] = [[] for _ in atoms]
-        if all(foreign is None for *_, foreign in atoms):
+        checks: list[list[tuple[int, int, int]]] = [[] for _ in atoms]
+        if not proper_foreign:
             for kind, ls, rs in order_ops:
-                if kind != _LE and ls in level and rs in level:
-                    dead[max(level[ls], level[rs])].append((ls, rs))
+                if ls in level and rs in level:
+                    checks[max(level[ls], level[rs])].append((kind, ls, rs))
         self.atoms = [
-            atom + (tuple(pairs),) for atom, pairs in zip(atoms, dead)
+            atom + (tuple(level_checks),)
+            for atom, level_checks in zip(atoms, checks)
         ]
         # object variables occur only in proper atoms, so every answer
         # slot is bound by the time a proper match reaches the leaves
         self.answer_slots = tuple(slots.get(v, -1) for v in answers)
 
-    def run(self, n_verts: int, seen: dict) -> None:
+    def run(
+        self,
+        n_verts: int,
+        seen: dict,
+        rows: ClosureRows | None = None,
+        stop: bool = False,
+    ) -> None:
         """Add each satisfying proper-match × loose-assignment to ``seen``
         as ``(binding, pairs)``: the answer-variable values and the
         frozenset of ``(u, v, kind)`` vertex-pair constraints, in
         depth-first order (proper atoms in query order, facts in sorted
-        order, loose variables by name)."""
+        order, loose variables by name).
+
+        With the graph's closure ``rows`` the join is closure-aware.  A
+        constraint the graph refutes fails in every model, so a match
+        holding one is cut: at the first atom binding both sides of an
+        order atom (``u < v`` when ``v`` reaches ``u`` or ``u == v``;
+        ``u <= v`` when ``v`` strictly reaches ``u``; ``u != v`` when
+        ``u == v``), and on an anchor coincidence ``u = v`` the graph
+        orders strictly or marks ``!=``.  A constraint the graph entails
+        holds in every model, so it is left out of ``pairs`` (``<`` on a
+        strict path, ``<=`` on any path, ``!=`` on a strict path either
+        way or a recorded pair).  Without rows only the empty graph's
+        facts apply: ``<`` and ``!=`` between one vertex are refuted.
+        ``stop`` raises :class:`_Entailed` at the first leaf with no
+        constraint left.
+        """
         env: list = [None] * self.n_slots
         for slot, vid in self.consts.items():
             env[slot] = vid
         eqs: list[tuple[int, int]] = []
         scan, probe_index = self.facts.scan, self.facts.probe
-        atoms, n_atoms = self.atoms, len(self.atoms)
+        n_atoms = len(self.atoms)
         loose, order_ops = self.loose, self.order_ops
         order_foreign = self.order_foreign
         answer_slots = self.answer_slots
         verts = range(n_verts)
+        zero = [0] * n_verts
+        reach, strict, apart = zero, zero, zero
+        if rows is not None:
+            reach, strict, apart = rows
+        # per order atom: the row that refutes it (bit u of row[v]) and
+        # whether it refutes one vertex
+        refute = {_LT: (reach, True), _LE: (strict, False), _NE: (zero, True)}
+        atoms = [
+            atom[:-1] + (
+                tuple((ls, rs) + refute[kind] for kind, ls, rs in atom[-1]),
+            )
+            for atom in self.atoms
+        ]
 
         def leaves() -> None:
             binding = tuple(
@@ -591,26 +644,31 @@ class _Join:
                 for kind, ls, rs in order_ops:
                     u, v = env[ls], env[rs]
                     if kind == _LE:
-                        if u != v:
+                        if strict[v] >> u & 1:
+                            break  # refuted: v < u in every model
+                        if u != v and not reach[u] >> v & 1:
                             pairs.add((u, v, _LE))
-                    elif u == v:
-                        break  # '<' or '!=' between one vertex: dead
+                    elif u == v or kind == _LT and reach[v] >> u & 1:
+                        break  # refuted: one point, or v <= u for '<'
                     elif kind == _LT:
-                        pairs.add((u, v, _LT))
-                    else:
+                        if not strict[u] >> v & 1:
+                            pairs.add((u, v, _LT))
+                    elif not apart[u] >> v & 1:
                         pairs.add((u, v, _NE) if u < v else (v, u, _NE))
                 else:
                     if order_foreign is not None:
                         raise KeyError(_FOREIGN.format(name=order_foreign))
                     for x, y in eqs:
                         pairs.add((x, y, _EQ) if x < y else (y, x, _EQ))
+                    if stop and not pairs:
+                        raise _Entailed
                     seen.setdefault((binding, frozenset(pairs)), None)
 
         def match(i: int) -> None:
             if i == n_atoms:
                 leaves()
                 return
-            key, order_mask, probe, ops, foreign, dead = atoms[i]
+            key, order_mask, probe, ops, foreign, checks = atoms[i]
             if foreign is not None:
                 # a foreign constant matches no fact; it raises as soon as
                 # some fact agrees with every position before it
@@ -637,10 +695,15 @@ class _Join:
                     if op == _BIND:
                         env[arg] = value
                     elif op == _EQ_SLOT:
-                        if env[arg] != value:
-                            eqs.append((env[arg], value))
+                        x = env[arg]
+                        if x != value:
+                            if apart[x] >> value & 1:
+                                break  # the anchors are apart in every model
+                            eqs.append((x, value))
                     elif op == _EQ_CONST:
                         if arg != value:
+                            if apart[arg] >> value & 1:
+                                break
                             eqs.append((arg, value))
                     elif op == _CHECK:
                         if env[arg] != value:
@@ -648,14 +711,20 @@ class _Join:
                     elif arg != value:  # _CONST
                         break
                 else:
-                    for ls, rs in dead:
-                        if env[ls] == env[rs]:
+                    for ls, rs, row, one_point in checks:
+                        u, v = env[ls], env[rs]
+                        if row[v] >> u & 1 or one_point and u == v:
                             break
                     else:
                         match(i + 1)
                 del eqs[mark:]
 
         match(0)
+
+
+class _Entailed(Exception):
+    """A closed query's join reached a grounding with no constraint left:
+    it holds in every model."""
 
 
 def _prefix_matches(fact, order_mask, ops, end, env) -> bool:
@@ -694,6 +763,25 @@ class GroundingMachine:
     viable grounding whose constraints are all resolved satisfies the
     query in every completion.
 
+    **Closure prune** — the join reads the order graph's closure
+    (:meth:`~repro.core.modelengine.ModelEngine.closure_rows`): it drops
+    every grounding holding a constraint the graph refutes, and leaves
+    out every constraint the graph entails.  Minimal models are models
+    of the graph, so the dropped groundings fail in every completion
+    and the dropped constraints hold in every one: a completion
+    satisfies some kept grounding exactly when it satisfies some
+    grounding of the full list.  The set of falsifying block sequences,
+    and with it every verdict, count and DFS-first witness, is the
+    unpruned machine's; a state is still a pure function of the
+    placement prefix and decides the same completions, so ``(region,
+    state)`` stays a sound :class:`~repro.core.modelengine.RegionDP`
+    key.  A closed query whose join reaches a grounding with no
+    constraint left holds in every model: the join stops there and
+    :attr:`entailed` is set, so callers need no region walk.  Both the
+    prune and the early exit are off while some atom holds a foreign
+    constant (its ``KeyError`` raises where the plain join raises it),
+    and the prune is off on an inconsistent graph.
+
     The grounding list is inverted into one entry per distinct
     constraint carrying the mask of the groundings that contain it, so
     a step never walks a grounding: placing ``block`` in ``region``
@@ -717,8 +805,8 @@ class GroundingMachine:
     """
 
     __slots__ = (
-        "groundings", "answers", "_patterns", "_incident", "_pairs",
-        "_kills", "_unresolved",
+        "groundings", "answers", "entailed", "_patterns", "_incident",
+        "_pairs", "_kills", "_unresolved",
     )
 
     def __init__(
@@ -730,12 +818,24 @@ class GroundingMachine:
         free_vars: Sequence[Term] = (),
     ) -> None:
         facts = fact_index(engine, db, canon)
+        joins = [_Join(cq, facts, free_vars) for cq in dnf.disjuncts]
+        # a foreign constant must raise its KeyError wherever the plain
+        # join reaches it, so it turns the prune and the early exit off
+        foreign = any(join.foreign for join in joins)
         seen: dict[tuple, None] = {}
-        patterns: set[tuple[bool, ...]] = set()
-        for cq in dnf.disjuncts:
-            join = _Join(cq, facts, free_vars)
-            join.run(engine.n, seen)
-            patterns.add(tuple(slot >= 0 for slot in join.answer_slots))
+        self.entailed = False
+        try:
+            for join in joins:
+                rows = None
+                if join.ordered and not foreign:
+                    rows = engine.closure_rows()
+                join.run(engine.n, seen, rows, stop=not (foreign or free_vars))
+        except _Entailed:
+            self.entailed = True
+            seen = {((), frozenset()): None}
+        patterns = {
+            tuple(slot >= 0 for slot in join.answer_slots) for join in joins
+        }
         index: dict[frozenset, int] = {}
         answers: dict[tuple, int] = {}
         owners: dict[tuple[int, int, int], int] = {}

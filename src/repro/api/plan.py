@@ -59,7 +59,7 @@ from repro.api.result import Result
 from repro.core.atoms import ProperAtom
 from repro.core.database import IndefiniteDatabase, LabeledDag
 from repro.core.errors import SortError
-from repro.core.models import Structure, iter_minimal_models
+from repro.core.models import LazyModel, Structure, iter_minimal_models
 from repro.core.ordergraph import OrderGraph
 from repro.core.query import (
     ConjunctiveQuery,
@@ -168,37 +168,6 @@ def object_part_holds(
             return True
     # A query with object atoms but an empty object domain cannot hold.
     return not variables and ok({})
-
-
-def prune_candidates_by_models(
-    db: IndefiniteDatabase,
-    candidates: Mapping[DisjunctiveQuery, Iterable],
-    caches: RegionCacheHub | None = None,
-    graph: OrderGraph | None = None,
-) -> set:
-    """One minimal-model sweep deciding many closed candidates at once.
-
-    ``candidates`` maps each substituted (ground-in-the-object-sort)
-    query to the opaque tokens that stand or fall with it; a token
-    survives iff every minimal model of ``db`` satisfies its query
-    (tokens listed under several queries are deduplicated by the
-    mapping itself).  All queries are decided by
-    :func:`~repro.algorithms.bruteforce.entailment_sweep` against one
-    shared set of region/block tables (under
-    :func:`~repro.substrate.reference.naive_mode`: one literal
-    enumeration of the minimal models, stopping early once every query
-    has failed).  Open plans do not substitute: they hand their DNF and
-    candidate tuples to the sweep as one
-    :class:`~repro.algorithms.bruteforce.OpenQuery`.
-    """
-    outcome = entailment_sweep(db, candidates.keys(), caches, graph)
-    surviving: set = set()
-    dead: set = set()
-    for q, tokens in candidates.items():
-        (surviving if outcome[q].holds else dead).update(tokens)
-    # a token listed under several queries survives only if ALL of them
-    # hold (the pre-sweep enumeration discarded it on any failing query)
-    return surviving - dead
 
 
 class ExecutionContext:
@@ -877,7 +846,7 @@ class PreparedQuery:
         method = self.method
         if self._closed_bruteforce_path(static, ctx):
             r = entails_bruteforce(ctx.db, dnf, ctx.hub, ctx.graph)
-            return Result(r.holds, "bruteforce", r.countermodel)
+            return Result(r.holds, "bruteforce", LazyModel.stored(r))
         if not self._monadic_applicable(static, ctx):
             # a specialized monadic method forced onto an inapplicable input
             raise ValueError(

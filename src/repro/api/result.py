@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.models import Structure
+from repro.core.models import LazyModel, Structure
 from repro.flexiwords.flexiword import Word
 
 
@@ -49,13 +49,15 @@ class Result:
             (same vocabulary as :func:`repro.core.entailment.explain`).
         countermodel: a falsifying minimal model when the query does not
             hold and the procedure produces witnesses; None otherwise.
+            An n-ary countermodel is built on first access (see
+            :class:`~repro.core.models.LazyModel`).
         answers: for open queries (prepared with ``free_vars``), the
             frozen set of certain-answer tuples; None for closed queries.
     """
 
     holds: bool
     method: str
-    countermodel: Structure | Word | None = None
+    countermodel: Structure | Word | None = LazyModel()
     answers: frozenset[tuple[str, ...]] | None = None
 
     def __bool__(self) -> bool:

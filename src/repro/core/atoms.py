@@ -40,11 +40,6 @@ class Rel(enum.Enum):
             return NotImplemented
         return self.value < other.value
 
-    @property
-    def is_strict(self) -> bool:
-        """True for '<'."""
-        return self is Rel.LT
-
 
 @dataclass(frozen=True, order=True)
 class ProperAtom:

@@ -42,7 +42,7 @@ tables are append-only and must be treated as read-only shared objects.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.core.ordergraph import OrderGraph
 from repro.core.atoms import Rel
@@ -56,13 +56,27 @@ SATISFIED = object()
 ALL_FAIL = object()
 
 
+class ClosureRows(NamedTuple):
+    """An order graph's closure as per-vertex bitmasks (see
+    :meth:`ModelEngine.closure_rows`): bit ``v`` of ``reach[u]`` is set
+    when a nonempty path leads from ``u`` to ``v``, of ``strict[u]``
+    when such a path passes a '<' edge, and of ``apart[u]`` when every
+    model puts ``u`` and ``v`` on distinct points (a strict path either
+    way, or a recorded '!=' pair)."""
+
+    reach: list[int]
+    strict: list[int]
+    apart: list[int]
+
+
 class ModelEngine:
     """Mask-level minimal-model tables over one fixed order graph.
 
     The graph must not be mutated while the engine is alive (the same
     contract as :class:`repro.core.regions.RegionCache`, which owns the
     shared instances).  All memo dicts are append-only; instances handed
-    out by a cache are shared and read-only.
+    out by a cache are shared and read-only.  :meth:`closure_rows` hands
+    the grounding join the graph's closure, built once per engine.
     """
 
     __slots__ = (
@@ -80,6 +94,7 @@ class ModelEngine:
         "_counts",
         "_names",
         "_keys",
+        "_rows",
     )
 
     def __init__(self, graph: OrderGraph) -> None:
@@ -117,15 +132,9 @@ class ModelEngine:
         self._counts: dict[int, int] = {}
         self._names: dict[int, frozenset[str]] = {}
         self._keys: dict[int, tuple[str, ...]] = {}
+        self._rows: ClosureRows | None | bool = False
 
     # -- decoding ----------------------------------------------------------
-
-    def mask_of(self, vertices) -> int:
-        """Encode an iterable of vertex names as a region bitmask."""
-        m = 0
-        for v in vertices:
-            m |= 1 << self.index[v]
-        return m
 
     def names(self, mask: int) -> frozenset[str]:
         """Decode a bitmask into a frozenset of vertex names (memoized)."""
@@ -149,6 +158,58 @@ class ModelEngine:
         except KeyError:
             value = self._keys[mask] = tuple(sorted(self.names(mask)))
             return value
+
+    # -- the order graph's closure -----------------------------------------
+
+    def closure_rows(self) -> ClosureRows | None:
+        """The graph's closure as bitmask rows over this engine's vertex
+        interning, or None when the graph is inconsistent (a '<' cycle,
+        or a '!=' pair the graph forces equal).
+
+        Derived once per engine from the graph's per-generation
+        :meth:`~repro.core.ordergraph.OrderGraph.reachability` and
+        :meth:`~repro.core.ordergraph.OrderGraph.strict_reachability`
+        caches.
+        """
+        rows = self._rows
+        if rows is False:
+            rows = self._rows = self._closure_rows()
+        return rows
+
+    def _closure_rows(self) -> ClosureRows | None:
+        if any(len(pair) < 2 for pair in self.graph.neq_pairs):
+            return None
+        index = self.index
+
+        def row(names) -> int:
+            m = 0
+            for w in names:
+                m |= 1 << index[w]
+            return m
+
+        reach_sets = self.graph.reachability()
+        strict_sets = self.graph.strict_reachability()
+        reach = [row(reach_sets[v]) for v in self.verts]
+        strict = [row(strict_sets[v]) for v in self.verts]
+        apart = list(self.neq)
+        for u in range(self.n):
+            if strict[u] >> u & 1:
+                return None  # a '<' cycle
+            m = apart[u]
+            while m:
+                low = m & -m
+                w = low.bit_length() - 1
+                m ^= low
+                if reach[u] >> w & 1 and reach[w] >> u & 1:
+                    return None  # a '!=' pair on one '<='-cycle
+        for u in range(self.n):
+            m = strict[u]
+            apart[u] |= m
+            while m:
+                low = m & -m
+                apart[low.bit_length() - 1] |= 1 << u
+                m ^= low
+        return ClosureRows(reach, strict, apart)
 
     # -- per-region structure ----------------------------------------------
 
@@ -442,6 +503,7 @@ class RegionDP:
 __all__ = [
     "ALL_FAIL",
     "SATISFIED",
+    "ClosureRows",
     "ModelEngine",
     "RegionDP",
     "engine_for",

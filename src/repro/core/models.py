@@ -233,6 +233,55 @@ def structure_from_blocks(
     )
 
 
+class DeferredStructure:
+    """A countermodel recorded as its block sequence and materialized by
+    :meth:`build` only when someone reads it (see :class:`LazyModel`).
+    Pickles as the built :class:`Structure`."""
+
+    __slots__ = ("db", "blocks", "canon")
+
+    def __init__(
+        self, db: IndefiniteDatabase, blocks: BlockSequence, canon: dict[str, str]
+    ) -> None:
+        self.db = db
+        self.blocks = blocks
+        self.canon = canon
+
+    def build(self) -> Structure:
+        return structure_from_blocks(self.db, self.blocks, self.canon)
+
+    def __reduce__(self):
+        return _same, (self.build(),)
+
+
+def _same(value):
+    return value
+
+
+class LazyModel:
+    """Descriptor for a frozen dataclass's ``countermodel`` field (its
+    default is None): a :class:`DeferredStructure` stored there is built
+    on the first read and replaced by the :class:`Structure`.  Equality,
+    hashing and ``repr`` read the field like any other, so they see the
+    built model; :meth:`stored` hands a pending one on unbuilt."""
+
+    def __get__(self, holder, owner=None):
+        if holder is None:
+            return None  # the dataclass field's default
+        value = holder.__dict__["_countermodel"]
+        if isinstance(value, DeferredStructure):
+            value = holder.__dict__["_countermodel"] = value.build()
+        return value
+
+    def __set__(self, holder, value) -> None:
+        holder.__dict__["_countermodel"] = value
+
+    @staticmethod
+    def stored(holder) -> Structure | Word | DeferredStructure | None:
+        """``holder``'s countermodel as stored, without building it."""
+        return holder.__dict__["_countermodel"]
+
+
 def iter_minimal_models(
     db: IndefiniteDatabase,
     caches: RegionCacheHub | None = None,

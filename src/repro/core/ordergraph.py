@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.core.atoms import OrderAtom, Rel
-from repro.core.errors import InconsistentError
 from repro.core.sorts import Term
 from repro.substrate import reference
 from repro.substrate.digraph import Digraph
@@ -297,11 +296,6 @@ class OrderGraph:
         two apart unless forced equal).
         """
         return self.normalize().consistent
-
-    def require_consistent(self) -> None:
-        """Raise :class:`InconsistentError` unless consistent."""
-        if not self.is_consistent():
-            raise InconsistentError("order graph contains a '<' cycle")
 
     # -- derived relations / fullness ----------------------------------------
 

@@ -52,6 +52,7 @@ from repro.api.plan import PreparedQuery
 from repro.api.result import Result
 from repro.api.session import Session
 from repro.core.atoms import OrderAtom, ProperAtom
+from repro.core.models import LazyModel
 from repro.core.query import Query
 from repro.core.semantics import Semantics
 from repro.core.sorts import Term, obj
@@ -251,7 +252,7 @@ def execute_many(
         for dnf, index_groups in closed_queries.items():
             witness = outcome[dnf]
             result = Result(
-                witness.holds, "bruteforce", witness.countermodel
+                witness.holds, "bruteforce", LazyModel.stored(witness)
             )
             for indices in index_groups:
                 for i in indices:

@@ -166,11 +166,6 @@ class MaterializedView:
         return self.refresh()
 
     @property
-    def dirty(self) -> bool:
-        """True when a mutation since the last refresh awaits processing."""
-        return self._session._gens() != self._synced_gens
-
-    @property
     def delta_capable(self) -> bool:
         """True when object-fact churn refreshes sub-linearly."""
         return self._delta_capable

@@ -235,11 +235,6 @@ def _encode_delta(delta: "SnapshotDelta") -> bytes:
     )
 
 
-def _decode_delta(payload: bytes) -> "SnapshotDelta":
-    """Rebuild a :class:`~repro.api.session.SnapshotDelta` from a record."""
-    return _delta_from_fields(pickle.loads(payload))
-
-
 def _delta_from_fields(fields: tuple) -> "SnapshotDelta":
     from repro.api.session import SnapshotDelta
 

@@ -27,7 +27,6 @@ from repro.algorithms.bruteforce import (
     iter_countermodels_nary,
 )
 from repro.algorithms.modelcheck import structure_satisfies, word_satisfies_dag
-from repro.api.plan import prune_candidates_by_models
 from repro.api.session import Session
 from repro.core.atoms import OrderAtom, ProperAtom, Rel
 from repro.core.models import (
@@ -91,6 +90,31 @@ def random_nary_workload(rng, max_order=6):
         )
     )
     return db, query
+
+
+def prune_candidates_by_models(db, candidates) -> set:
+    """One minimal-model sweep deciding many closed candidates at once
+    (the reference the candidate-pruning tests below compare).
+
+    ``candidates`` maps each substituted (ground-in-the-object-sort)
+    query to the opaque tokens that stand or fall with it; a token
+    survives iff every minimal model of ``db`` satisfies its query
+    (tokens listed under several queries are deduplicated by the
+    mapping itself).  All queries are decided by
+    :func:`~repro.algorithms.bruteforce.entailment_sweep` against one
+    shared set of region/block tables (under
+    :func:`~repro.substrate.reference.naive_mode`: one literal
+    enumeration of the minimal models, stopping early once every query
+    has failed).
+    """
+    outcome = entailment_sweep(db, candidates.keys())
+    surviving: set = set()
+    dead: set = set()
+    for q, tokens in candidates.items():
+        (surviving if outcome[q].holds else dead).update(tokens)
+    # a token listed under several queries survives only if ALL of them
+    # hold (the pre-sweep enumeration discarded it on any failing query)
+    return surviving - dead
 
 
 class TestEnumerationDifferential:

@@ -890,8 +890,8 @@ def build_engine_benchmarks(quick: bool, seed: int):
     would run: every request pays the full pipeline (and every open
     request its own per-tuple/model sweep).  The engine side feeds the
     same request stream to :mod:`repro.engine` — plan grouping, combined
-    model sweeps, materialized views — with all setup (session, view,
-    pool construction) paid inside the measurement.
+    model sweeps, materialized views — with all setup (session, view)
+    paid inside the measurement.
     """
     from repro.engine.batch import QueryRequest, execute_many
     from repro.engine.views import MaterializedView
@@ -979,88 +979,6 @@ def build_engine_benchmarks(quick: bool, seed: int):
         view_engine,
         repeats,
     )
-
-    # -- snapshot-parallel pool (skipped in --quick: CI stays fork-free;
-    # -- skipped on 1-CPU hosts, where processes can only time-share) ------
-    if not quick and (os.cpu_count() or 1) >= 2:
-        from repro.engine.pool import DaemonPool
-
-        rng = random.Random(seed + 31)
-        db, ops = random_request_stream(
-            rng,
-            width=4,
-            chain_length=5,
-            n_objects=10,
-            n_queries=12,
-            n_ops=48,
-            write_prob=0.0,
-        )
-        requests = [op for op in ops if isinstance(op, QueryRequest)]
-
-        def pool_sequential(db=db, requests=requests):
-            return run_engine(db, requests)
-
-        def pool_parallel(db=db, requests=requests):
-            with DaemonPool(Session(db), workers=2) as pool:
-                results = pool.execute_many(requests)
-            return [
-                r.holds if req.free_vars is None else frozenset(r.answers)
-                for req, r in zip(requests, results)
-            ]
-
-        yield (
-            "engine/pool",
-            {"requests": len(requests), "workers": 2},
-            pool_sequential,
-            pool_parallel,
-            1,
-        )
-
-    # -- persistent daemon pool: incremental resync vs a fresh pool per
-    # -- batch (same multi-core / non-quick conditions as engine/pool) -----
-    if not quick and (os.cpu_count() or 1) >= 2:
-        from repro.engine.pool import DaemonPool
-
-        rng = random.Random(seed + 37)
-        db, ops = random_request_stream(
-            rng,
-            width=4,
-            chain_length=4,
-            n_objects=8,
-            n_queries=10,
-            n_ops=20,
-            write_prob=0.0,
-        )
-        requests = [op for op in ops if isinstance(op, QueryRequest)]
-        toggles = [ProperAtom("Tag", (obj(f"dp{i}"),)) for i in range(4)]
-
-        def pool_per_batch(db=db, requests=requests, toggles=toggles):
-            session = Session(db)
-            out = []
-            for fact in toggles:
-                session.assert_facts(fact)
-                with DaemonPool(session, workers=2) as pool:
-                    out.append(pool.execute_many(requests))
-            return out
-
-        def daemon_pool(db=db, requests=requests, toggles=toggles):
-            session = Session(db)
-            out = []
-            with DaemonPool(session, workers=2) as pool:
-                for fact in toggles:
-                    session.assert_facts(fact)
-                    pool.resnapshot(session)
-                    out.append(pool.execute_many(requests))
-            return out
-
-        yield (
-            "engine/daemon_pool",
-            {"requests": len(requests), "batches": len(toggles),
-             "workers": 2},
-            pool_per_batch,
-            daemon_pool,
-            1,
-        )
 
 
 def main(argv=None) -> int:
@@ -1164,8 +1082,8 @@ def main(argv=None) -> int:
                 "closure caches; api rows: one_shot = stateless entry "
                 "points, prepared = Session/PreparedQuery reuse; engine "
                 "rows: one_shot = per-request loop, prepared = "
-                "repro.engine (batched execution, materialized views, "
-                "snapshot worker pool); serve rows: serial = fresh "
+                "repro.engine (batched execution, materialized views); "
+                "serve rows: serial = fresh "
                 "connection per request served one at a time, concurrent "
                 "= pipelined clients multiplexed onto one engine loop"
             ),

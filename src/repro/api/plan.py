@@ -325,36 +325,11 @@ class ExecutionContext:
         only its fact views afresh.  Contexts whose extra facts sit on
         order constants change the labels and must be built fresh.
         """
-        twin = self.fork()
-        twin._graph = self.graph
-        twin._hub = self.hub  # the hub itself, not a fork
-        twin.facts_changed(db)
-        return twin
-
-    # -- snapshots ---------------------------------------------------------
-
-    def fork(self) -> "ExecutionContext":
-        """A read-only twin sharing every safely shareable warm artifact.
-
-        The twin references the same frozen database, the same order
-        graph *instance* (with its per-generation closure caches), the
-        same labelled dag and object-fact index, and a forked region
-        cache hub (:meth:`~repro.core.regions.RegionCacheHub.fork`) whose
-        entries share structural memos.  None of these are ever mutated
-        in place by the executor, only *replaced* on invalidation, so the
-        fork stays valid for as long as the shared graph instance is not
-        mutated — the session guards that with its ``_graph_shared``
-        copy-on-write flag (see :meth:`repro.api.session.Session.snapshot`).
-        """
-        twin = ExecutionContext(self.db)
-        twin._graph = self._graph
-        twin._hub = None if self._hub is None else self._hub.fork()
+        twin = ExecutionContext(db, self.graph)
+        twin._hub = self.hub
         twin._consistent = self._consistent
         twin._has_neq = self._has_neq
         twin._dag = self._dag
-        twin._splittable = self._splittable
-        twin._object_facts = self._object_facts
-        twin._object_domain = self._object_domain
         twin.label_epoch = self.label_epoch
         return twin
 
@@ -690,11 +665,11 @@ class PreparedQuery:
         and the single-disjunct methods pay only the object-part
         filtering :meth:`execute` performs anyway.
 
-        The point is *raise-point parity* for the pooled stream
-        engine: calling this for each read before a run ships surfaces
-        the first invalid read in batch order, where the sequential loop
-        would have raised it, instead of whichever invalid read a worker
-        reports first.  Never raises when :meth:`execute` would succeed.
+        The point is *raise-point parity* for batched reads: the server
+        validates each read as it joins a batch, so an invalid read gets
+        its error reply where a sequential per-op loop would have raised
+        it, and the rest of the batch still runs together.  Never raises
+        when :meth:`execute` would succeed.
         """
         key = self.session._gens()
         if self._validated_key == key:

@@ -38,8 +38,7 @@ Invalidation contract (the granular generation counters):
 Concurrency discipline: a session is **single-writer, single-thread**.
 Nothing here locks — the caches, generation counters and observer list
 all assume one caller at a time, and the engine layers preserve that
-by construction rather than by locking: worker pools only ever touch
-read-only :meth:`~Session.snapshot` forks, and the serving tier
+by construction rather than by locking: the serving tier
 (:mod:`repro.server`) funnels every operation from every client
 connection through one queue into one engine loop, the only code that
 touches its session.  Share a session across threads and the
@@ -48,7 +47,7 @@ invalidation contract above is void.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from repro.api.plan import ExecutionContext, PreparedQuery
 from repro.api.result import Result
@@ -58,9 +57,6 @@ from repro.core.errors import SortError
 from repro.core.query import Query
 from repro.core.semantics import Semantics
 from repro.core.sorts import Term
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.engine.snapshot import SessionSnapshot
 
 #: Most-recently-prepared plans kept per session.
 _PLAN_CACHE_LIMIT = 128
@@ -74,10 +70,9 @@ class SnapshotDelta(NamedTuple):
     disappeared, the target generation counters, and which of the three
     counters bumped — exactly the information a process holding a copy
     of the older state needs to advance to the newer one while
-    invalidating only what the bumped generations require.  This is the
-    resync payload the persistent daemon pool
-    (:class:`repro.engine.pool.DaemonPool`) ships to its workers instead
-    of re-forking them.
+    invalidating only what the bumped generations require.  The
+    write-ahead log stores one per mutation, and a
+    :class:`~repro.engine.wal.WalFollower` rebases its session by one.
 
     Atom tuples are sorted, so a delta is a deterministic function of
     the two states.
@@ -152,9 +147,6 @@ class Session:
         self._plan_limit = plan_cache_limit
         #: mutation observers (materialized views and other engine state)
         self._observers: list[Callable[[MutationEvent], None]] = []
-        #: True while a snapshot shares this session's graph instance —
-        #: the next graph mutation must rebuild instead of edit in place.
-        self._graph_shared = False
 
     @classmethod
     def from_atoms(
@@ -254,37 +246,15 @@ class Session:
             self._ctx = ExecutionContext(self.db)
         return self._ctx
 
-    # -- snapshots ---------------------------------------------------------
-
-    def snapshot(self) -> "SessionSnapshot":
-        """A cheap read-only copy at the current generation.
-
-        The snapshot shares this session's frozen database, its order
-        graph *instance* (with whatever closures are already warm) and a
-        forked region-cache hub, so queries against the snapshot start
-        from the same warm state as queries against the live session —
-        see :class:`repro.engine.snapshot.SessionSnapshot`.  The live
-        session keeps mutating freely: the first mutation that would
-        edit the shared graph in place rebuilds it instead (copy-on-
-        write), so snapshots are immutable forever at zero ongoing cost.
-        """
-        from repro.engine.snapshot import SessionSnapshot
-
-        snap = SessionSnapshot(self)
-        self._graph_shared = True
-        return snap
+    # -- deltas ------------------------------------------------------------
 
     def snapshot_delta(self, since: "Session") -> SnapshotDelta | None:
-        """What changed since ``since`` (an older snapshot of *this*
-        session): added/removed atoms plus which generation counters
+        """What changed since ``since`` (a session holding an older state
+        of this one): added/removed atoms plus which generation counters
         bumped, or ``None`` when nothing changed.
 
-        The incremental-resync hook of the persistent daemon pool
-        (:class:`repro.engine.pool.DaemonPool`): instead of re-forking
-        its workers per batch, the pool ships them this delta and each
-        worker advances its private copy of the older state with
-        :meth:`apply_snapshot_delta` — arriving at exactly this
-        session's state while keeping every cache the bumped
+        ``since`` advances to exactly this session's state with
+        :meth:`apply_snapshot_delta`, keeping every cache the bumped
         generations do not invalidate warm.
         """
         old = since._gens()
@@ -303,7 +273,7 @@ class Session:
         )
 
     def apply_snapshot_delta(self, delta: SnapshotDelta) -> "Session":
-        """Advance a *process-private* copy of an older state by ``delta``.
+        """Advance this session, holding an older state, by ``delta``.
 
         Mirrors the granular invalidation a live replay of the
         underlying mutations would have done, in one round: object-only
@@ -312,11 +282,6 @@ class Session:
         structural region caches; graph deltas rebuild lazily.  The
         generation counters jump to the delta's target, so prepared-plan
         memos keyed on them invalidate exactly as on the live session.
-
-        Intended for daemon-pool workers, whose session (even when it is
-        a fork-inherited :class:`~repro.engine.snapshot.SessionSnapshot`
-        by type) is private to the worker process — never call this on a
-        snapshot other code can still observe.
         """
         self._proper.update(delta.added_proper)
         self._proper.difference_update(delta.removed_proper)
@@ -430,16 +395,10 @@ class Session:
             if fresh:
                 self._graph_gen += 1
                 if self._ctx is not None:
-                    if self._graph_shared:
-                        # A snapshot shares the graph instance: rebuild
-                        # lazily instead of adding vertices in place.
-                        self._graph_shared = False
-                        self._ctx.graph_changed(self.db, keep_graph=False)
-                    else:
-                        if self._ctx.graph_built:
-                            for v in sorted(fresh):
-                                self._ctx.graph.add_vertex(v)
-                        self._ctx.graph_changed(self.db)
+                    if self._ctx.graph_built:
+                        for v in sorted(fresh):
+                            self._ctx.graph.add_vertex(v)
+                    self._ctx.graph_changed(self.db)
             elif self._ctx is not None:
                 self._ctx.labels_changed(self.db)
         if has_object_args:
@@ -485,11 +444,9 @@ class Session:
         ) or any(not a.args for a in removed)
         if had_order:
             # An order constant may have vanished: rebuild the graph lazily.
-            # (The shared instance, if a snapshot holds one, is untouched.)
             self._order_names = None
             self._graph_gen += 1
             self._label_gen += 1
-            self._graph_shared = False
             if self._ctx is not None:
                 self._ctx.graph_changed(self.db, keep_graph=False)
         if had_object:
@@ -529,21 +486,12 @@ class Session:
                 self._order_names.add(a.left.name)
                 self._order_names.add(a.right.name)
         if self._ctx is not None:
-            if self._graph_shared:
-                # A snapshot shares the graph instance: rebuild lazily
-                # instead of editing the shared adjacency in place.
-                self._graph_shared = False
-                self._ctx.graph_changed(self.db, keep_graph=False)
-            else:
-                if self._ctx.graph_built:
-                    # add_edge keeps the strictly stronger label on
-                    # duplicate pairs, exactly like a from-scratch
-                    # rebuild would.
-                    for a in added:
-                        self._ctx.graph.add_edge(
-                            a.left.name, a.right.name, a.rel
-                        )
-                self._ctx.graph_changed(self.db)
+            if self._ctx.graph_built:
+                # add_edge keeps the strictly stronger label on duplicate
+                # pairs, exactly like a from-scratch rebuild would.
+                for a in added:
+                    self._ctx.graph.add_edge(a.left.name, a.right.name, a.rel)
+            self._ctx.graph_changed(self.db)
         self._notify(graph=True, added=tuple(added))
         return self
 
@@ -557,7 +505,6 @@ class Session:
         self._drop_db()
         self._order_names = None
         self._graph_gen += 1
-        self._graph_shared = False
         if self._ctx is not None:
             self._ctx.graph_changed(self.db, keep_graph=False)
         self._notify(graph=True, removed=tuple(removed))

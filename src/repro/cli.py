@@ -9,8 +9,7 @@ Commands:
   (``--free-vars x,y`` names the object variables; ``--json``);
 * ``batch DB STREAM``  — run a request-stream file (queries, ``answers``
   lines, ``assert:``/``retract:`` writes) through the batching engine
-  (:mod:`repro.engine.batch`); ``--workers N`` fans each run of reads
-  out over a daemon worker pool resynced to the writes before it;
+  (:mod:`repro.engine.batch`);
 * ``watch DB QUERY --free-vars ... STREAM`` — maintain a
   :class:`repro.engine.views.MaterializedView` of an open query across
   the writes in STREAM, reporting answer deltas after each step;
@@ -19,7 +18,7 @@ Commands:
   ``--compact`` folds the log into a fresh snapshot);
 * ``serve DB``         — host the session behind the socket protocol of
   :mod:`repro.server` (``--port``, ``--wal`` for a durable session with
-  group-commit syncing, ``--workers`` for a daemon pool); drains
+  group-commit syncing); drains
   gracefully on SIGTERM/SIGINT; ``serve - --replica-of WAL`` instead
   hosts a *read-only replica* tailing a primary's log (reads only,
   ``applied_seq`` consistency tokens, primary-death detection);
@@ -181,7 +180,7 @@ def _client(args: argparse.Namespace, lines=()):
     ``--connect`` reaches a live server; otherwise the server's op
     handlers run in process over a session of the database file (the
     stream ``lines``' writes join its sort inference, as ``batch``
-    needs) — the client's close closes the session's log and pool.
+    needs) — the client's close closes the session's log.
     """
     if args.connect:
         return _remote_client(args)
@@ -190,8 +189,7 @@ def _client(args: argparse.Namespace, lines=()):
     session, wal = _session_with_wal(
         args.database, args.wal, extra_order=_stream_order_names(lines)
     )
-    workers = getattr(args, "workers", 0)
-    return ReproServer(session, wal=wal, workers=workers).connect_local()
+    return ReproServer(session, wal=wal).connect_local()
 
 
 def _emit_json(reply: dict) -> None:
@@ -214,8 +212,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "--replica-of and --wal are mutually exclusive: a replica "
                 "tails a primary's log, it does not own one"
             )
-        if args.workers:
-            raise ValueError("--workers applies to the primary, not replicas")
         # the primary may still be coming up: wait for its snapshot
         deadline = time.monotonic() + args.replica_wait
         while (
@@ -253,7 +249,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.host,
             args.port,
             wal=wal,
-            workers=args.workers,
             max_inflight=args.max_inflight,
             heartbeat_interval=args.heartbeat_interval,
         )
@@ -568,9 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     bt.add_argument("database")
     bt.add_argument("stream", help="file of queries / answers(..) / "
                                    "assert: / retract: lines")
-    bt.add_argument("--workers", type=int, default=1,
-                    help="fan each run of reads out over N persistent "
-                         "daemon workers")
     bt.add_argument("--json", action="store_true",
                     help="machine-readable JSON output")
     bt.add_argument("--wal", metavar="PATH", default=None,
@@ -619,9 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--sync", choices=("fsync", "group", "flush", "none"),
                     default="group",
                     help="WAL sync policy (default: group commit)")
-    sv.add_argument("--workers", type=int, default=0,
-                    help="daemon-pool workers for read batches "
-                         "(0/1 = in-process)")
+    sv.add_argument("--workers", type=int, choices=(0, 1), default=0,
+                    help="ignored: reads always run in process (0 and 1 "
+                         "are the only values accepted)")
     sv.add_argument("--max-inflight", type=int, default=32,
                     help="per-connection inflight-op cap (backpressure)")
     sv.add_argument("--replica-of", metavar="WAL", default=None,

@@ -35,8 +35,8 @@ mask-level ideas:
 Regions are plain ``int`` bitmasks over the engine's vertex interning.
 A :class:`ModelEngine` is purely structural (it depends only on the
 graph), so :class:`repro.core.regions.RegionCache` memoizes one per graph
-and shares it across snapshot forks like the other structural memos; its
-tables are append-only and must be treated as read-only shared objects.
+like the other structural memos; its tables are append-only and must be
+treated as read-only shared objects.
 """
 
 from __future__ import annotations

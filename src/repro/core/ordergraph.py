@@ -300,14 +300,19 @@ class OrderGraph:
     # -- derived relations / fullness ----------------------------------------
 
     def reachability(self) -> dict[str, set[str]]:
-        """``reach[v]`` = vertices strictly reachable from ``v`` (any labels).
+        """``reach[v]`` = vertices reachable from ``v`` by a nonempty path
+        (any labels); ``v`` itself only when it lies on a cycle, as in
+        :meth:`Digraph.transitive_closure`.
 
-        Cached until the next mutation — the returned dict is shared, treat
-        it as read-only.
+        Filled by the same condensation sweep as
+        :meth:`strict_reachability` (:meth:`_compute_strict`), so both
+        closures of one generation cost one sweep.  Cached until the next
+        mutation — the returned dict is shared, treat it as read-only.
         """
         if reference.NAIVE:
             return reference.naive_transitive_closure(self._digraph)
-        return self._cached("reach", self._digraph.transitive_closure)
+        self.strict_reachability()
+        return self._cache["reach"]  # type: ignore[return-value]
 
     def strict_reachability(self) -> dict[str, set[str]]:
         """``sreach[v]`` = vertices reachable via a path through a '<' edge.
@@ -331,6 +336,10 @@ class OrderGraph:
         otherwise the strict set is the union, over cross-component edges
         ``C -> C'``, of the weak down-set of ``C'`` (edge labelled '<') or
         the strict set of ``C'`` (edge labelled '<=').
+
+        The same pass stores the ``"reach"`` cache entry: a member of
+        ``C`` reaches the weak down-set of ``C``, minus ``C`` itself
+        unless ``C`` has an internal edge (a cycle or a self-loop).
         """
         d = self._digraph
         _verts, index = d.bit_index()
@@ -343,10 +352,12 @@ class OrderGraph:
                 m |= 1 << vid
             comp_mask[cid] = m
         tainted = [False] * ncomp
+        cyclic = [False] * ncomp
         cross: list[list[tuple[int, bool]]] = [[] for _ in range(ncomp)]
         for (u, v), rel in self._edges.items():
             cu, cv = comp_of[index[u]], comp_of[index[v]]
             if cu == cv:
+                cyclic[cu] = True
                 if rel is Rel.LT:
                     tainted[cu] = True
             else:
@@ -362,8 +373,15 @@ class OrderGraph:
             weak_down[cid] = wd
             strict_down[cid] = wd if tainted[cid] else sd
         out: dict[str, set[str]] = {}
+        reach: dict[str, set[str]] = {}
         for v, vid in index.items():
-            out[v] = d.set_from_mask(strict_down[comp_of[vid]])
+            cid = comp_of[vid]
+            out[v] = d.set_from_mask(strict_down[cid])
+            reach_mask = weak_down[cid]
+            if not cyclic[cid]:
+                reach_mask &= ~comp_mask[cid]
+            reach[v] = d.set_from_mask(reach_mask)
+        self._cache["reach"] = reach
         return out
 
     def full(self) -> "OrderGraph":

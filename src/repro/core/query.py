@@ -58,7 +58,7 @@ def _memo_hash(query, fields: tuple) -> int:
 
 def _state_without_hash(query) -> dict:
     # string hashes are salted per process: a memoized hash must not
-    # travel to another process (pool workers, pickled requests)
+    # travel to another process (a pickled query or request)
     state = dict(query.__dict__)
     state.pop("_hash", None)
     return state

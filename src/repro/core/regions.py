@@ -79,9 +79,9 @@ class RegionCache:
 
         The engine is purely structural (its valid-block, minor and
         count tables depend only on the graph), so one instance is
-        memoized per cache and — like the other structural memos —
-        shared with forks.  Its tables are append-only: treat the
-        returned engine as a read-only shared object.
+        memoized per cache like the other structural memos.  Its tables
+        are append-only: treat the returned engine as a read-only shared
+        object.
         """
         if reference.NAIVE:
             return ModelEngine(self.graph)
@@ -161,36 +161,6 @@ class RegionCache:
             out |= self.labels[v]
         return frozenset(out)
 
-    def fork(self) -> "RegionCache":
-        """A twin cache over the same graph, sharing the structural memos.
-
-        The up-set / induced-subgraph / minor / minimal dicts depend only
-        on the graph, which is immutable while any cache over it is
-        alive, and entries are only ever *added* — so the fork shares
-        those dicts with its parent and both sides keep warming them for
-        each other.  The label map and block-label memos are
-        label-generation state and stay private per side: the
-        ``_block_labels`` dict is copied, and ``labels`` is shared as a
-        reference under a **replace-only invariant** — label churn goes
-        through :meth:`RegionCacheHub.invalidate_labels` /
-        :meth:`RegionCacheHub.get`, which *reassign* ``entry.labels``
-        and never mutate the mapping in place (in-place label updates
-        would corrupt verdicts across forks).  This is what lets a live
-        :class:`~repro.api.session.Session` and its read-only snapshots
-        share one set of region artifacts.
-        """
-        twin = RegionCache.__new__(RegionCache)
-        twin.graph = self.graph
-        twin.labels = self.labels
-        twin._all = self._all
-        twin._up = self._up
-        twin._induced = self._induced
-        twin._minors = self._minors
-        twin._minimal = self._minimal
-        twin._block_labels = dict(self._block_labels)
-        twin._engine = self._engine
-        return twin
-
 
 class RegionCacheHub:
     """An identity-keyed registry of :class:`RegionCache` instances.
@@ -225,21 +195,6 @@ class RegionCacheHub:
         elif entry.labels is None and labels is not None:
             entry.labels = labels
         return entry
-
-    def fork(self) -> "RegionCacheHub":
-        """A hub whose entries share structural memos with this one.
-
-        Every entry is forked (:meth:`RegionCache.fork`), so both hubs
-        keep reading and extending the same up-set/induced/minor caches
-        while label invalidation and :meth:`clear` stay private to each
-        side.  Used when a session hands its execution context to a
-        read-only snapshot.
-        """
-        twin = RegionCacheHub()
-        twin._caches = {
-            gid: entry.fork() for gid, entry in self._caches.items()
-        }
-        return twin
 
     def invalidate_labels(self) -> None:
         """Detach label maps and block-label memos from every entry.

@@ -1,23 +1,14 @@
-"""The execution engine: batched, snapshot-parallel, incrementally viewed.
+"""The execution engine: batched, durable, incrementally viewed.
 
 Everything in :mod:`repro.api` answers one query at a time against one
 mutable session.  This subsystem turns that library into an engine for
 request *streams*:
 
 * :mod:`repro.engine.batch` — :func:`~repro.engine.batch.execute_many`
-  groups a batch of requests by compiled plan and pools the
-  minimal-model sweeps; :func:`~repro.engine.batch.execute_stream`
-  interleaves batched reads with writes in stream order, and with
-  ``pool=`` fans each run of reads out over a daemon pool resynced to
-  the writes before it.
-* :mod:`repro.engine.snapshot` — cheap read-only
-  :class:`~repro.engine.snapshot.SessionSnapshot` copies (shared frozen
-  database + warm closures) safe to ship to workers.
-* :mod:`repro.engine.pool` — :class:`~repro.engine.pool.DaemonPool`
-  shards plan groups across *persistent* worker processes that live
-  across batches, resyncing them to newer session state with
-  incremental snapshot deltas.  It merges deterministically and
-  degrades to in-process sequential execution in restricted sandboxes.
+  groups a batch of requests by compiled plan and runs their
+  minimal-model sweeps as one; :func:`~repro.engine.batch.execute_stream`
+  interleaves batched reads with writes in stream order.  Every read
+  runs in process, on the live session.
 * :mod:`repro.engine.views` — :class:`~repro.engine.views.MaterializedView`
   keeps a registered certain-answers query up to date across mutations,
   re-evaluating only the delta the bumped generation permits.
@@ -26,9 +17,8 @@ request *streams*:
   compaction, ``Session.recover``) and doubles as a cross-process change
   feed via :class:`~repro.engine.wal.WalFollower`.
 * :mod:`repro.engine.faults` — deterministic, seedable fault injection
-  (worker crash/hang/delay, torn WAL writes, lost resync deltas) behind
-  the ``REPRO_FAULTS`` env knob, driving the pool's timeout / degrade /
-  self-heal hardening.
+  (torn WAL writes, crashed compactions, dropped connections, lagging
+  or crashed replicas) behind the ``REPRO_FAULTS`` env knob.
 
 Quickstart::
 
@@ -48,18 +38,13 @@ from repro.engine.batch import (
     execute_many,
     execute_stream,
 )
-from repro.engine.pool import DaemonPool
-from repro.engine.snapshot import SessionSnapshot, SnapshotMutationError
 from repro.engine.views import MaterializedView
 from repro.engine.wal import WalError, WalFollower, WriteAheadLog, recover
 
 __all__ = [
-    "DaemonPool",
     "MaterializedView",
     "Mutation",
     "QueryRequest",
-    "SessionSnapshot",
-    "SnapshotMutationError",
     "WalError",
     "WalFollower",
     "WriteAheadLog",

@@ -30,15 +30,6 @@ or retracts) are coalesced into a single mutator call — one invalidation
 round — before the next read batch; if a coalesced call raises, the run
 is replayed one mutation at a time so the exception surfaces with
 exactly the prefix state a sequential loop would have left behind.
-
-Passing a live :class:`~repro.engine.pool.DaemonPool` via ``pool=`` fans
-each read run out over the pool's persistent workers: the pool is
-resynced to the session by one incremental snapshot delta, then the run
-executes as one :meth:`~repro.engine.pool.DaemonPool.execute_many`
-round trip.  Every read still runs against exactly the state a
-sequential loop would have shown it, and the merge is the same
-deterministic per-plan fan-out, so pooled results equal sequential ones
-exactly.
 """
 
 from __future__ import annotations
@@ -55,7 +46,7 @@ from repro.core.atoms import OrderAtom, ProperAtom
 from repro.core.models import LazyModel
 from repro.core.query import Query
 from repro.core.semantics import Semantics
-from repro.core.sorts import Term, obj
+from repro.core.sorts import Term
 
 
 @dataclass(frozen=True)
@@ -177,8 +168,8 @@ def execute_many(
     method tag, countermodel and answers — to executing each request's
     plan individually: plans decided by the combined sweep come back
     with the method tag and witness their own execution would have
-    produced, so batched, pooled and sequential execution can never be
-    told apart from the results.
+    produced, so batched and sequential execution can never be told
+    apart from the results.
 
     ``plans``, when given, holds each request's plan from
     ``request.prepare(session)`` at the current generation (a caller
@@ -322,8 +313,6 @@ def _apply_writes(session: Session, mutations: list[Mutation]) -> None:
 def execute_stream(
     session: Session,
     ops: Iterable[QueryRequest | Mutation],
-    *,
-    pool=None,
 ) -> list[Result | None]:
     """Run a mixed read/write stream with reads batched between writes.
 
@@ -340,13 +329,6 @@ def execute_stream(
     :func:`_apply_writes` — so the final state, and the state at any
     raised exception, are those of the sequential loop, minus the
     redundant intermediate invalidations).
-
-    **Pooled mode** — pass ``pool=`` (a live
-    :class:`~repro.engine.pool.DaemonPool` over ``session``): while the
-    pool is parallel, each read run is resynced to it and executed on
-    its workers.  Results are byte-for-byte those of the in-process
-    mode; only the wall-clock changes.  The caller's pool is left
-    resynced to the stream's final state.
     """
     ops = list(ops)
     for op in ops:
@@ -355,28 +337,13 @@ def execute_stream(
                 f"stream op must be QueryRequest or Mutation: {op!r}"
             )
     out: list[Result | None] = [None] * len(ops)
-    try:
-        for writes, read_indices in _epochs(ops):
-            if writes:
-                _apply_writes(session, writes)
-            if not read_indices:
-                continue
-            run = [ops[i] for i in read_indices]
-            if pool is not None and pool.parallel:
-                # Validate in batch order before shipping: workers
-                # report errors in worker order, so the first invalid
-                # read must raise here, as the in-process loop would.
-                for request in run:
-                    request.prepare(session).validate()
-                pool.resnapshot(session)
-                results = pool.execute_many(run)
-            else:
-                results = execute_many(session, run)
+    for writes, read_indices in _epochs(ops):
+        if writes:
+            _apply_writes(session, writes)
+        if read_indices:
+            results = execute_many(session, [ops[i] for i in read_indices])
             for i, result in zip(read_indices, results):
                 out[i] = result
-    finally:
-        if pool is not None:
-            pool.resnapshot(session)
     return out
 
 

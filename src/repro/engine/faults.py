@@ -1,28 +1,18 @@
 """Deterministic, seedable fault injection for the engine.
 
-Production behaviour under partial failure — a worker process dying
-mid-batch, hanging on a wedged lock, replying late; a write-ahead-log
-record torn in half by a crash; a resync delta lost on the wire — is
-exactly the behaviour a test suite never sees by accident.  This module
-makes those failures *reproducible*: named injection **sites** in the
-engine call :func:`fire` at the moment the failure would occur, and an
-installed :class:`FaultRule` decides — deterministically, from its own
-counters and (optionally) its own seeded RNG — whether the failure
-happens on this particular call.
+Production behaviour under partial failure — a write-ahead-log record
+torn in half by a crash, a compaction dying between its two steps, a
+client connection severed mid-reply, a replica falling behind or
+crashing — is exactly the behaviour a test suite never sees by
+accident.  This module makes those failures *reproducible*: named
+injection **sites** in the engine call :func:`fire` at the moment the
+failure would occur, and an installed :class:`FaultRule` decides —
+deterministically, from its own counters and (optionally) its own
+seeded RNG — whether the failure happens on this particular call.
 
 The sites (each hooked where the comment says):
 
 ========================  ==================================================
-``pool.worker.crash``     a :class:`~repro.engine.pool.DaemonPool` worker
-                          ``os._exit``\\ s mid-batch, before replying
-``pool.worker.hang``      the worker sleeps ``seconds`` (default 60) before
-                          executing — long enough to trip the leader's
-                          reply timeout
-``pool.worker.delay``     the worker sleeps ``seconds`` (default 0.05) and
-                          then replies normally (slow, not dead)
-``pool.resync.drop``      :meth:`DaemonPool.resnapshot` "loses" the resync
-                          delta to one worker (the stale-worker detection
-                          and self-healing path)
 ``wal.torn_write``        :meth:`WriteAheadLog.append` writes only a prefix
                           (``fraction``, default 0.5) of the record's bytes
                           and dies (:class:`InjectedCrash`)
@@ -46,13 +36,10 @@ The sites (each hooked where the comment says):
 ========================  ==================================================
 
 Rules install in-process (:func:`install`) or through the environment
-knob ``REPRO_FAULTS`` (:func:`install_from_env`), which daemon workers
-read at startup so injection crosses the process boundary under any
-start method (``fork`` workers additionally inherit the in-process
-installation).  The spec grammar is ``site[:key=value...]`` with rules
-separated by ``;``::
+knob ``REPRO_FAULTS`` (:func:`install_from_env`).  The spec grammar is
+``site[:key=value...]`` with rules separated by ``;``::
 
-    REPRO_FAULTS="pool.worker.crash:after=1;wal.torn_write:fraction=0.25"
+    REPRO_FAULTS="wal.torn_write:after=5:fraction=0.25;server.conn.drop"
 
 Keys: ``after`` (skip the first N arrivals at the site), ``times`` (fire
 at most N times, default 1; ``times=0`` means unlimited), ``prob`` +
@@ -75,14 +62,10 @@ from repro.core.errors import ReproError
 
 log = logging.getLogger(__name__)
 
-#: Environment variable carrying a fault spec into worker processes.
+#: Environment variable carrying a fault spec (see :func:`install_from_env`).
 FAULTS_ENV = "REPRO_FAULTS"
 
 #: The known injection sites (unknown sites in a spec only warn).
-SITE_WORKER_CRASH = "pool.worker.crash"
-SITE_WORKER_HANG = "pool.worker.hang"
-SITE_WORKER_DELAY = "pool.worker.delay"
-SITE_RESYNC_DROP = "pool.resync.drop"
 SITE_WAL_TORN = "wal.torn_write"
 SITE_WAL_COMPACT = "wal.compact.crash"
 SITE_CONN_DROP = "server.conn.drop"
@@ -91,10 +74,6 @@ SITE_REPLICA_CRASH = "server.replica.crash"
 SITE_FOLLOWER_STALL = "wal.follower.stall"
 
 SITES = (
-    SITE_WORKER_CRASH,
-    SITE_WORKER_HANG,
-    SITE_WORKER_DELAY,
-    SITE_RESYNC_DROP,
     SITE_WAL_TORN,
     SITE_WAL_COMPACT,
     SITE_CONN_DROP,
@@ -256,31 +235,11 @@ def parse_spec(spec: str) -> list[FaultRule]:
     return rules
 
 
-def spec_of(rules: list[FaultRule]) -> str:
-    """Serialize rules back into the spec grammar (for shipping via env)."""
-    entries = []
-    for rule in rules:
-        keys: dict[str, float] = {}
-        if rule.after:
-            keys["after"] = rule.after
-        if rule.times != 1:
-            keys["times"] = rule.times
-        if rule.prob != 1.0:
-            keys["prob"] = rule.prob
-        if rule.seed:
-            keys["seed"] = rule.seed
-        keys.update(rule.params)
-        suffix = "".join(f":{k}={v:g}" for k, v in keys.items())
-        entries.append(rule.site + suffix)
-    return ";".join(entries)
-
-
 def install_from_env(environ=None) -> bool:
     """Install rules from ``REPRO_FAULTS`` if set; True when any installed.
 
-    Called by daemon workers at startup (so ``spawn`` workers see the
-    same faults ``fork`` workers inherit) and usable from any entry
-    point that wants env-driven injection.
+    Usable from any entry point that wants env-driven injection (the
+    test suite's env-armed differentials use it).
     """
     environ = os.environ if environ is None else environ
     spec = environ.get(FAULTS_ENV)
@@ -302,17 +261,12 @@ __all__ = [
     "SITE_FOLLOWER_STALL",
     "SITE_REPLICA_CRASH",
     "SITE_REPLICA_LAG",
-    "SITE_RESYNC_DROP",
     "SITE_WAL_COMPACT",
     "SITE_WAL_TORN",
-    "SITE_WORKER_CRASH",
-    "SITE_WORKER_DELAY",
-    "SITE_WORKER_HANG",
     "active",
     "fire",
     "install",
     "install_from_env",
     "parse_spec",
     "reset",
-    "spec_of",
 ]

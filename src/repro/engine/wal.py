@@ -85,7 +85,7 @@ import struct
 import threading
 import time
 import zlib
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.atoms import OrderAtom, ProperAtom, Rel
 from repro.core.database import IndefiniteDatabase

@@ -38,9 +38,8 @@ reply; ``watch`` takes the ``lines`` of the request stream that will
 drive it, so its query resolves the constants those writes introduce
 (as a ``batch`` stream's query lines do); ``unwatch`` replies with the
 view's ``full_refreshes``, ``delta_refreshes`` and ``delta_capable``.
-A ``batch`` reply's ``mode`` is ``pool[N]`` while a daemon pool runs
-the reads, ``sequential`` when a degraded pool ran a write-free stream
-in process, and ``stream`` otherwise.
+A ``batch`` reply's ``mode`` is always ``stream``: the stream runs in
+process through :func:`~repro.engine.batch.execute_stream`.
 
 Replica extensions (``repro serve --replica-of``) ride the same frames:
 

@@ -17,11 +17,10 @@ whole design:
 Inside one queue drain, maximal runs of consecutive reads execute as a
 single :func:`~repro.engine.batch.execute_many` batch (documented
 byte-for-byte identical to per-op execution), so concurrent clients get
-the plan-group dedup and pooled minimal-model sweeps for free: while
+the plan-group dedup and combined minimal-model sweeps for free: while
 the engine is busy, newly arrived frames buffer and form the next
-batch — the same dynamic as WAL group commit, applied to reads.  With
-``workers=N`` the batches additionally fan out over a persistent
-:class:`~repro.engine.pool.DaemonPool`.
+batch — the same dynamic as WAL group commit, applied to reads.  Every
+batch runs in process, on the live session.
 
 Robustness contract (each part tested in ``tests/test_server.py``):
 
@@ -240,9 +239,7 @@ class ReproServer:
     Construct with a live session (optionally WAL-attached), call
     :meth:`start` inside a running event loop, then await
     :meth:`wait_drained` (``repro serve`` also installs SIGTERM/SIGINT
-    handlers that call :meth:`drain`).  ``workers > 1`` routes read
-    batches and ``batch`` streams over a persistent
-    :class:`~repro.engine.pool.DaemonPool`.
+    handlers that call :meth:`drain`).
 
     ``replica_of=path`` instead makes this a read-only replica: pass
     ``session=None`` — :meth:`start` builds the session from the WAL at
@@ -258,7 +255,6 @@ class ReproServer:
         port: int = 0,
         *,
         wal=None,
-        workers: int = 0,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_frame: int = MAX_FRAME,
         replica_of: str | None = None,
@@ -277,14 +273,12 @@ class ReproServer:
         self.host = host
         self.port = port
         self.wal = wal
-        self.workers = workers
         self.max_inflight = max_inflight
         self.max_frame = max_frame
         self.replica_of = replica_of
         self.poll_interval = poll_interval
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self._pool = None
         self._follower: WalFollower | None = None
         self._poll_task: asyncio.Task | None = None
         self._heartbeat_task: asyncio.Task | None = None
@@ -317,7 +311,7 @@ class ReproServer:
 
     def _open_engine(self) -> None:
         """The synchronous half of :meth:`start`: the replica's follower
-        session, the primary's resumed ``seq`` and the daemon pool."""
+        session and the primary's resumed ``seq``."""
         if self.replica_of is not None:
             self._follower = WalFollower(self.replica_of)
             self.session = self._follower.session
@@ -330,21 +324,15 @@ class ReproServer:
             # the log's mark high-water, which attach() recovers and
             # compact() preserves across truncation.
             self._seq = max(self._seq, self.wal.last_mark_seq)
-        if self.workers > 1 and self._pool is None:
-            from repro.engine.pool import DaemonPool
-
-            self._pool = DaemonPool(self.session, workers=self.workers)
 
     def _close_engine(self) -> None:
-        """The synchronous half of :meth:`drain`: close every watch, the
-        WAL (which fsyncs any open group-commit window, so every
-        acknowledged write is on disk) and the pool."""
+        """The synchronous half of :meth:`drain`: close every watch and
+        the WAL (which fsyncs any open group-commit window, so every
+        acknowledged write is on disk)."""
         for conn in self._conns:
             conn.close_watches()
         if self.wal is not None:
             self.wal.close()
-        if self._pool is not None:
-            self._pool.close()
 
     def connect_local(self) -> "LocalClient":
         """An in-process client of this (unstarted) server.
@@ -377,12 +365,10 @@ class ReproServer:
         self.port = self._server.sockets[0].getsockname()[1]
         self._engine_task = asyncio.create_task(self._engine_loop())
         log.info(
-            "serving on %s:%d (max_inflight=%d, workers=%d, wal=%s, "
-            "replica_of=%s)",
+            "serving on %s:%d (max_inflight=%d, wal=%s, replica_of=%s)",
             self.host,
             self.port,
             self.max_inflight,
-            self.workers,
             getattr(self.wal, "path", None),
             self.replica_of,
         )
@@ -633,13 +619,9 @@ class ReproServer:
         if not pending:
             return
         requests = [request for _, _, request, _ in pending]
+        plans = [plan for _, _, _, plan in pending]
         try:
-            if self._pool is not None and len(requests) > 1:
-                self._pool.resnapshot(self.session)
-                results = self._pool.execute_many(requests)
-            else:
-                plans = [plan for _, _, _, plan in pending]
-                results = execute_many(self.session, requests, plans=plans)
+            results = execute_many(self.session, requests, plans=plans)
         except Exception:
             # batched execution failed somewhere mid-batch: replay the
             # span per-op so each request gets its own verdict or its
@@ -740,18 +722,9 @@ class ReproServer:
     def _op_batch(self, conn: _Connection, req: dict) -> dict:
         lines, vocab, names = self._stream(req)
         ops = _parse_stream(lines, vocab, names)
-        results = execute_stream(self.session, ops, pool=self._pool)
+        results = execute_stream(self.session, ops)
         self._notify_watches(self._seq + 1)
-        pool = self._pool
-        if pool is not None and pool.parallel:
-            mode = f"pool[{self.workers}]"
-        elif pool is not None and all(
-            isinstance(op, QueryRequest) for op in ops
-        ):
-            mode = "sequential"  # a degraded pool ran the reads in process
-        else:
-            mode = "stream"
-        return {"mode": mode, "ops": _batch_rows(ops, results)}
+        return {"mode": "stream", "ops": _batch_rows(ops, results)}
 
     def _op_watch(self, conn: _Connection, req: dict) -> dict:
         # with the stream's 'lines', the query sees the constants its
@@ -795,7 +768,6 @@ class ReproServer:
             "open_connections": len(self._conns),
             "conn_peak_inflight": conn.peak_inflight,
             "seq": self._seq,
-            "pool_parallel": bool(self._pool is not None and self._pool.parallel),
             "role": "replica" if self._follower is not None else "primary",
             # the current vocabulary's parse memo, as total/used/available
             "parse_memo": {
@@ -1029,7 +1001,7 @@ class LocalClient(OpCalls):
         return events
 
     def close(self) -> None:
-        """Close the engine: watches, WAL and pool (idempotent)."""
+        """Close the engine: watches and WAL (idempotent)."""
         if self._conn in self._server._conns:
             self._server._close_engine()
             self._server._conns.discard(self._conn)

@@ -227,13 +227,70 @@ class TestMutationInvalidation:
         q = ConjunctiveQuery.of(rain)
         session = Session()
         assert not session.entails(q)
-        snap = session.snapshot()
+        base = Session()  # the older state, as a follower's rebase holds it
+        assert not base.entails(q)
         session.assert_facts(rain)
         assert session.entails(q)  # the live session sees its own write
         assert Session(session.db).entails(q)
-        assert session.snapshot_delta(snap) is not None
+        delta = session.snapshot_delta(base)
+        assert delta is not None
+        assert base.apply_snapshot_delta(delta).entails(q)
         session.retract_facts(rain)
         assert not session.entails(q)
+
+    def test_snapshot_delta_after_every_mutation_class(self):
+        # a session holding an older state, advanced by one delta per
+        # write with its caches warm, answers exactly like a fresh
+        # session on the new state (what a WAL follower's rebase does)
+        rng = random.Random(303)
+        db, query, free = random_certain_answers_workload(
+            rng, width=2, chain_length=2, n_objects=3, n_free=1
+        )
+        x = objvar("x")
+        order_name = sorted(db.order_constants)[0]
+        fresh = ordc("brandnew")
+        tag = ProperAtom("Tag", (obj("nw"),))
+        label = ProperAtom("B", (ordc(order_name),))
+        vertex = ProperAtom("A", (fresh,))
+        edge = OrderAtom(fresh, Rel.LT, ordc(order_name))
+        mutations = [
+            lambda s: s.assert_facts(tag),       # object generation
+            lambda s: s.assert_facts(label),     # label generation
+            lambda s: s.assert_facts(vertex),    # graph: a fresh vertex
+            lambda s: s.assert_order(edge),      # graph: an order atom
+            lambda s: s.retract_order(edge),
+            lambda s: s.retract_facts(vertex),
+            lambda s: s.retract_facts(label),
+            lambda s: s.retract_facts(tag),
+        ]
+        # each mutation flips at least one of these
+        plans = [
+            (query, free),
+            (ConjunctiveQuery.of(ProperAtom("Tag", (x,))), (x,)),
+            (ConjunctiveQuery.of(ProperAtom("B", (t1,))), None),
+            (ConjunctiveQuery.of(
+                ProperAtom("A", (t1,)), ProperAtom("B", (t2,)), lt(t1, t2)
+            ), None),
+        ]
+
+        def answers(s):
+            return [
+                s.prepare(q, free_vars=fv).execute() for q, fv in plans
+            ]
+
+        session, follower = Session(db), Session(db)
+        before = answers(follower)  # warm the follower's caches and plans
+        for i, mutate in enumerate(mutations):
+            mutate(session)
+            delta = session.snapshot_delta(follower)
+            assert delta is not None, f"mutation #{i}"
+            follower.apply_snapshot_delta(delta)
+            assert follower._gens() == session._gens()
+            assert session.snapshot_delta(follower) is None
+            after = answers(follower)
+            assert after == answers(Session(session.db)), f"mutation #{i}"
+            assert after != before, f"mutation #{i} changed no answer"
+            before = after
 
     def test_mutators_validate_groundness(self):
         session = Session()

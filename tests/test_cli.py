@@ -160,31 +160,6 @@ Boot(a) & a < b & Reset(b)
         assert ops[3]["entailed"] is True   # after the assert
         assert ops[5]["entailed"] is False  # after the retract
 
-    def test_batch_pool_read_only(self, db_file, tmp_path, capsys):
-        path = tmp_path / "reads.txt"
-        path.write_text("Boot(a) & a < b & Crash(b)\n"
-                        "Boot(a) & a < b & Ping(b)\n"
-                        "Boot(a) & a < b & Crash(b)\n")
-        code = main(["batch", db_file, str(path), "--workers", "2",
-                     "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert payload["mode"].startswith(("pool[2]", "sequential"))
-        assert [op["entailed"] for op in payload["ops"]] == [
-            True, False, True,
-        ]
-
-    def test_batch_pool_mixed_stream(self, db_file, stream_file, capsys):
-        # a pooled mixed stream reports exactly the in-process results
-        assert main(["batch", db_file, stream_file, "--json"]) == 0
-        local = json.loads(capsys.readouterr().out)
-        code = main(["batch", db_file, stream_file, "--workers", "2",
-                     "--json"])
-        pooled = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert pooled["mode"] in ("pool[2]", "stream")
-        assert pooled["ops"] == local["ops"]
-
     def test_stream_introduced_constants_parse_as_constants(self, db_file,
                                                             tmp_path, capsys):
         # 'u9' exists only through a stream write; the query line naming
@@ -394,8 +369,6 @@ class TestErrorExitCode:
          "ValueError"),
         (["serve", "-", "--replica-of", "{missing}", "--wal", "{missing}"],
          "ValueError"),
-        (["serve", "-", "--replica-of", "{missing}", "--workers", "2"],
-         "ValueError"),
         (["serve", "-", "--replica-of", "{missing}", "--replica-wait", "0"],
          "ValueError"),
         # the database file is no write stream: its lines are reads
@@ -409,6 +382,23 @@ class TestErrorExitCode:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {error}: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        # reads always run in process: 'serve' takes only --workers 0
+        # or 1, and 'batch' has no --workers at all
+        ["serve", "-", "--workers", "2"],
+        ["batch", "{db}", "{db}", "--workers", "2"],
+        ["serve", "-", "--replica-of", "{missing}", "--workers", "2"],
+    ])
+    def test_usage_error_exits_2(self, db_file, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing.txt")
+        argv = [a.format(db=db_file, missing=missing) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
 
 
 class TestOtherCommands:

@@ -2,13 +2,11 @@
 
 The load-bearing properties:
 
-* batched (``execute_many``), streamed (``execute_stream``), pooled
-  (``DaemonPool``) and view-maintained (``MaterializedView``) answers
-  are identical to sequential per-request Session execution — which the
-  PR 2 suite already pins to the one-shot API — across randomized mixed
+* batched (``execute_many``), streamed (``execute_stream``) and
+  view-maintained (``MaterializedView``) answers are identical to
+  sequential per-request Session execution — which the session suite
+  already pins to the one-shot API — across randomized mixed
   read/write request streams;
-* snapshots are frozen forever (every mutation class on the live
-  session leaves them untouched) while the live session stays exact;
 * the view's object-fact delta path is actually taken (not silently
   falling back to full refreshes) and still always equals a
   from-scratch ``certain_answers``.
@@ -24,15 +22,13 @@ from repro.api import Session
 from repro.core.atoms import OrderAtom, ProperAtom, Rel, lt
 from repro.core.database import IndefiniteDatabase
 from repro.core.entailment import certain_answers, explain
+from repro.core.errors import SortError
 from repro.core.sorts import obj, objvar, ordc, ordvar
 from repro.core.query import ConjunctiveQuery
 from repro.engine import (
-    DaemonPool,
     MaterializedView,
     Mutation,
     QueryRequest,
-    SessionSnapshot,
-    SnapshotMutationError,
     execute_many,
     execute_stream,
 )
@@ -60,6 +56,14 @@ def observe(request: QueryRequest, result) -> object:
         return result.holds
     assert result.answers is not None
     return frozenset(result.answers)
+
+
+def outcome_of(fn):
+    """(tag, payload): a comparable summary of a call that may raise."""
+    try:
+        return ("ok", fn())
+    except Exception as exc:  # noqa: BLE001 - parity is the point
+        return ("raise", type(exc), str(exc))
 
 
 def one_shot_observe(db: IndefiniteDatabase, request: QueryRequest) -> object:
@@ -147,120 +151,57 @@ class TestExecuteStream:
                         state.db, op
                     )
 
+    def test_midstream_write_exception_parity(self):
+        # a clash inside a coalesced write run: the exception and the
+        # session state must match the one-op-at-a-time replay
+        base = IndefiniteDatabase.of(P(u), Q(v), lt(u, v))
+        ops = [
+            QueryRequest(ConjunctiveQuery.of(P(t1))),
+            Mutation("assert_facts", (ProperAtom("Tag", (obj("zz"),)),)),
+            Mutation("assert_facts", (P(ordc("zz")),)),  # clash with ^
+            Mutation("assert_facts", (ProperAtom("Tag", (obj("ww"),)),)),
+            QueryRequest(ConjunctiveQuery.of(P(t1))),
+        ]
+        oracle = Session(base)
+        want = outcome_of(lambda: [
+            op.apply(oracle) for op in ops if isinstance(op, Mutation)
+        ])
+        assert want[0] == "raise" and want[1] is SortError
+        session = Session(base)
+        got = outcome_of(lambda: execute_stream(session, list(ops)))
+        assert got == want
+        # the valid prefix (Tag(zz)) landed; the clash and its suffix did not
+        assert session.db == oracle.db
+        assert ProperAtom("Tag", (obj("zz"),)) in oracle.db.proper_atoms
+        assert ProperAtom("Tag", (obj("ww"),)) not in oracle.db.proper_atoms
+
+    def test_randomized_streams_with_clash_injection(self):
+        rng = random.Random(313)
+        for round_ in range(6):
+            db, ops = random_request_stream(
+                rng, n_objects=3, n_queries=3, n_ops=16, write_prob=0.5
+            )
+            clash_name = sorted(db.object_constants)[0]
+            ops = list(ops)
+            ops.insert(
+                rng.randrange(len(ops)),
+                Mutation("assert_facts", (P(ordc(clash_name)),)),
+            )
+            # oracle: the writes one at a time (reads change nothing)
+            oracle = Session(db)
+            want = outcome_of(lambda: [
+                op.apply(oracle) for op in ops if isinstance(op, Mutation)
+            ])
+            session = Session(db)
+            got = outcome_of(lambda: execute_stream(session, list(ops)))
+            assert got[:2] == want[:2], f"round={round_}"
+            assert session.db == oracle.db, f"round={round_}"
+
     def test_mutation_validation(self):
         with pytest.raises(ValueError):
             Mutation("frobnicate", ())
         with pytest.raises(TypeError):
             execute_stream(Session(), ["not an op"])
-
-
-class TestSnapshot:
-    def _workload(self):
-        rng = random.Random(204)
-        return random_certain_answers_workload(
-            rng, width=2, chain_length=2, n_objects=3, n_free=1
-        )
-
-    def test_snapshot_frozen_across_every_mutation_kind(self):
-        db, query, free = self._workload()
-        session = Session(db)
-        snap = session.snapshot()
-        frozen = frozenset(snap.certain_answers(query, free))
-        assert frozen == frozenset(certain_answers(db, query, free))
-        closed = ConjunctiveQuery.of(P(t1), Q(t2), lt(t1, t2))
-        frozen_verdict = snap.entails(closed)
-        mutations = [
-            lambda: session.assert_facts(ProperAtom("Tag", (obj("zz"),))),
-            lambda: session.assert_facts(P(ordc("brandnew"))),
-            lambda: session.assert_order(
-                OrderAtom(ordc("brandnew"), Rel.LT, ordc("brandnew2"))
-            ),
-            lambda: session.retract_order(
-                OrderAtom(ordc("brandnew"), Rel.LT, ordc("brandnew2"))
-            ),
-            lambda: session.retract_facts(P(ordc("brandnew"))),
-        ]
-        for mutate in mutations:
-            mutate()
-            # live session stays exact ...
-            assert frozenset(
-                session.certain_answers(query, free)
-            ) == frozenset(certain_answers(session.db, query, free))
-            # ... and the snapshot still answers from its frozen state
-            assert frozenset(snap.certain_answers(query, free)) == frozen
-            assert snap.entails(closed) == frozen_verdict
-
-    def test_snapshot_shares_warm_state(self):
-        db, query, free = self._workload()
-        session = Session(db)
-        session.certain_answers(query, free)  # warm the caches
-        snap = session.snapshot()
-        assert isinstance(snap, SessionSnapshot)
-        assert snap.context() is not session.context()
-        # the graph instance (and its closure caches) is shared
-        assert snap.context().graph is session.context().graph
-        # an in-place graph edit on the live session must copy first
-        session.assert_order(OrderAtom(ordc("cow1"), Rel.LT, ordc("cow2")))
-        assert snap.context().graph is not session.context().graph
-        assert "cow1" not in snap.context().graph.vertices
-
-    def test_snapshot_rejects_mutation(self):
-        snap = Session(IndefiniteDatabase.of(P(u))).snapshot()
-        for attempt in (
-            lambda: snap.assert_facts(P(v)),
-            lambda: snap.retract_facts(P(u)),
-            lambda: snap.assert_order(lt(u, v)),
-            lambda: snap.retract_order(lt(u, v)),
-        ):
-            with pytest.raises(SnapshotMutationError):
-                attempt()
-        assert snap.size() == 1
-
-    def test_snapshot_of_snapshot(self):
-        session = Session(IndefiniteDatabase.of(P(u), Q(v), lt(u, v)))
-        snap2 = session.snapshot().snapshot()
-        q = ConjunctiveQuery.of(P(t1), Q(t2), lt(t1, t2))
-        assert snap2.entails(q)
-
-
-class TestPooledBatch:
-    def _requests(self, rng):
-        db, ops = random_request_stream(
-            rng, n_objects=3, n_queries=4, n_ops=10, write_prob=0.0
-        )
-        return db, [op for op in ops if isinstance(op, QueryRequest)]
-
-    def test_pool_matches_sequential_exactly(self):
-        # byte-for-byte: verdicts, method tags, countermodels, answers
-        rng = random.Random(205)
-        db, requests = self._requests(rng)
-        sequential = execute_many(Session(db), requests)
-        with DaemonPool(Session(db), workers=2) as pool:
-            pooled = pool.execute_many(requests)
-        assert pooled == sequential
-
-    def test_sequential_fallback_matches_exactly(self):
-        rng = random.Random(206)
-        db, requests = self._requests(rng)
-        with DaemonPool(Session(db), workers=1) as pool:
-            assert not pool.parallel
-            fallback = pool.execute_many(requests)
-        expected = execute_many(Session(db), requests)
-        assert fallback == expected
-
-    def test_staleness_semantics(self):
-        db = IndefiniteDatabase.of(P(u), Q(v), lt(u, v))
-        q = ConjunctiveQuery.of(P(t1), Q(t2), lt(t1, t2))
-        for workers in (1, 2):
-            session = Session(db)
-            with DaemonPool(session, workers=workers) as pool:
-                results = pool.execute_many([QueryRequest(q)] * 3)
-                assert [r.holds for r in results] == [True] * 3
-                # the pool answers against its last snapshot until resynced
-                session.retract_order(lt(u, v))
-                assert pool.execute_many([QueryRequest(q)])[0].holds
-                pool.resnapshot(session)
-                assert not pool.execute_many([QueryRequest(q)])[0].holds
 
 
 class TestMaterializedView:

@@ -451,14 +451,6 @@ class TestConcurrentDifferential:
         _, host, port = served
         _differential(host, port, clients=4)
 
-    def test_concurrent_equals_sequential_with_pool(self):
-        thread = ServerThread(_session(), workers=2)
-        try:
-            host, port = thread.start()
-            _differential(host, port, clients=3)
-        finally:
-            thread.shutdown()
-
     def test_pipelined_reads_batch(self, served):
         thread, host, port = served
         with ReproClient(host, port) as client:
